@@ -98,7 +98,6 @@ load:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/ruleio/
 	$(GO) test -fuzz=FuzzUnmarshalJSON -fuzztime=30s ./internal/ruleio/
-	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzReadColumnar -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzCSVChunk -fuzztime=30s ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzHandleRepairCSV -fuzztime=30s ./internal/server/

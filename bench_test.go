@@ -259,9 +259,9 @@ func BenchmarkCodedRepairTuple(b *testing.B) {
 }
 
 // BenchmarkStreamRepairHosp measures the streaming repair paths over the
-// dirty hosp relation rendered as CSV: the sequential loop and the
-// pipelined parallel engine (workers = GOMAXPROCS). On a multi-core host
-// the parallel rows should track core count; on one core they should tie.
+// dirty hosp relation: the CSV stream at one worker and at GOMAXPROCS
+// workers (on a multi-core host the parallel row should track core count;
+// on one core they should tie), and the fcol stream.
 func BenchmarkStreamRepairHosp(b *testing.B) {
 	w := loadHosp(b)
 	rep := repair.NewRepairer(w.rules)
@@ -271,34 +271,17 @@ func BenchmarkStreamRepairHosp(b *testing.B) {
 	}
 	in := csvIn.Bytes()
 	b.Run("lRepair/stream", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSV(bytes.NewReader(in), io.Discard, repair.Linear); err != nil {
+			if _, err := rep.StreamCSV(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
+				repair.ParallelOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("lRepair/stream-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVParallel(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The columnar batch engine over the same CSV bytes: single-core
-	// (Workers: 1, the apples-to-apples comparison against lRepair/stream)
-	// and pipelined.
-	b.Run("lRepair/stream-columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
-				repair.ParallelOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lRepair/stream-columnar-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
+			if _, err := rep.StreamCSV(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
 				repair.ParallelOptions{}); err != nil {
 				b.Fatal(err)
 			}
@@ -384,14 +367,14 @@ func BenchmarkAblationParallelConsistency(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreIO compares frel and CSV round-trip throughput on the
+// BenchmarkStoreIO compares fcol and CSV round-trip throughput on the
 // dirty hosp relation.
 func BenchmarkStoreIO(b *testing.B) {
 	w := loadHosp(b)
-	b.Run("frel/write", func(b *testing.B) {
+	b.Run("fcol/write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := store.Write(&buf, w.dirty); err != nil {
+			if err := store.WriteColumnar(&buf, w.dirty, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -404,16 +387,16 @@ func BenchmarkStoreIO(b *testing.B) {
 			}
 		}
 	})
-	var frel, csv bytes.Buffer
-	if err := store.Write(&frel, w.dirty); err != nil {
+	var fcol, csv bytes.Buffer
+	if err := store.WriteColumnar(&fcol, w.dirty, 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := schema.WriteCSV(&csv, w.dirty); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("frel/read", func(b *testing.B) {
+	b.Run("fcol/read", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Read(bytes.NewReader(frel.Bytes())); err != nil {
+			if _, err := store.ReadColumnar(bytes.NewReader(fcol.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,16 +3,22 @@ package fixrule_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"fixrule/internal/schema"
+	"fixrule/internal/store"
 )
 
 // TestCLIPipeline builds every command and drives the full workflow through
@@ -163,7 +169,37 @@ RULE phi3
 		t.Fatalf("-trace output:\n%s", out)
 	}
 
-	// 9. -workers is rejected in modes that cannot use it.
+	// 9. .fcol paths: a batch repair writes fcol, -revert reads it back
+	// and restores the original, and datagen writes fcol that decodes to
+	// the relation it writes as CSV.
+	fcolOut := filepath.Join(dir, "travel.repaired.fcol")
+	fcolLog := filepath.Join(dir, "fcol-repairs.csv")
+	run("fixrepair", "-rules", fixed, "-data", data, "-out", fcolOut, "-log", fcolLog)
+	fcolRestored := filepath.Join(dir, "travel.fcol-restored.csv")
+	run("fixrepair", "-revert", fcolLog, "-data", fcolOut, "-out", fcolRestored)
+	if back, err := os.ReadFile(fcolRestored); err != nil || string(back) != string(original) {
+		t.Errorf("revert of the fcol output is not byte-identical (err %v):\n got %q\nwant %q", err, back, original)
+	}
+	fcolDir := filepath.Join(dir, "fcol")
+	run("datagen", "-dataset", "uis", "-rows", "400", "-format", "fcol", "-out", fcolDir)
+	f, err := os.Open(filepath.Join(fcolDir, "uis.clean.fcol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFcol, err := store.ReadColumnar(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCSV, err := schema.LoadCSV(filepath.Join(dir, "uis.clean.csv"), fromFcol.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(schema.Diff(fromCSV, fromFcol)) != 0 || fromFcol.Len() != 400 {
+		t.Errorf("datagen fcol output (%d rows) differs from its CSV output", fromFcol.Len())
+	}
+
+	// 10. -workers is rejected in modes that cannot use it.
 	if out, err := exec.Command(bin["fixrepair"], "-rules", fixed, "-data", data,
 		"-explain", "2", "-workers", "4").CombinedOutput(); err == nil {
 		t.Fatalf("-explain -workers 4 should fail, got:\n%s", out)
@@ -323,11 +359,39 @@ RULE phi1
 		done <- result{code: resp.StatusCode, body: body}
 	}()
 	io.WriteString(pw, "name,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n")
-	time.Sleep(200 * time.Millisecond) // let the request reach the handler
+	// Handshake, not a sleep: the stream is in the handler once /stats
+	// counts it in flight. The poll counts itself, so wait for two.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var st struct {
+			InFlight int64 `json:"in_flight"`
+		}
+		code, body := get("/stats")
+		if code == 200 && json.Unmarshal([]byte(body), &st) == nil && st.InFlight >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream never counted in flight; last /stats = %d %s", code, body)
+		}
+		runtime.Gosched()
+	}
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond) // listener closes while we're in flight
+	// The listener closes while the stream is in flight: wait until a
+	// fresh dial is refused, then finish the upload.
+	addr := strings.TrimPrefix(base, "http://")
+	for deadline = time.Now().Add(10 * time.Second); ; {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting 10s after SIGTERM")
+		}
+		runtime.Gosched()
+	}
 	io.WriteString(pw, "Amy,China,Hongkong,Paris,VLDB\n")
 	pw.Close()
 

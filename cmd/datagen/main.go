@@ -31,7 +31,7 @@ func main() {
 		typo   = flag.Float64("typo", 0.5, "fraction of errors that are typos (rest: active domain)")
 		seed   = flag.Int64("seed", 1, "generator seed")
 		out    = flag.String("out", ".", "output directory")
-		format = flag.String("format", "csv", "relation file format: csv or frel (compact binary)")
+		format = flag.String("format", "csv", "relation file format: csv or fcol (binary column chunks)")
 	)
 	flag.Parse()
 
@@ -57,10 +57,10 @@ func run(ds string, rows int, rate, typo float64, seed int64, out, format string
 	switch format {
 	case "csv":
 		save = fixrule.SaveCSV
-	case "frel":
+	case "fcol":
 		save = store.Save
 	default:
-		return fmt.Errorf("unknown format %q (want csv or frel)", format)
+		return fmt.Errorf("unknown format %q (want csv or fcol)", format)
 	}
 	cleanPath := filepath.Join(out, ds+".clean."+format)
 	dirtyPath := filepath.Join(out, ds+".dirty."+format)

@@ -1,6 +1,6 @@
 // Command fixrepair repairs a relation with a fixing-rule file using
 // either repairing algorithm of Section 6. Data files are CSV, or the
-// compact binary frel format for *.frel paths.
+// binary fcol column-chunk format for *.fcol paths.
 //
 // Usage:
 //
@@ -10,17 +10,15 @@
 //	fixrepair -rules rules.dsl -data dirty.csv -trace           # chase trace of each repair
 //	fixrepair -rules rules.dsl -data big.csv -stream -out fixed.csv
 //	fixrepair -rules rules.dsl -data big.csv -stream -workers 8 -out fixed.csv -log repairs.csv
-//	fixrepair -rules rules.dsl -data big.csv -stream -columnar -out fixed.csv
 //	fixrepair -rules rules.dsl -data big.fcol -stream -out fixed.fcol
 //	fixrepair -revert repairs.csv -data repaired.csv -out restored.csv
 //
-// Streaming CSV-to-CSV with -columnar runs the columnar batch engine:
-// byte-identical output at substantially higher single-core throughput.
-// *.fcol paths stream the columnar chunk format directly (an .fcol input
-// needs an .fcol output; a CSV input with an .fcol output converts while
-// repairing).
+// -stream repairs in constant memory, chunk by chunk, with output bytes
+// identical to a batch run. *.fcol paths stream the fcol format directly
+// (an .fcol input needs an .fcol output; a CSV input with an .fcol output
+// converts while repairing).
 //
-// The data file's header (or frel schema) must match the rule schema.
+// The data file's header (or fcol schema) must match the rule schema.
 // -log writes one changed cell per line (row, attribute, old, new), in
 // batch and streaming mode alike; -revert applies such a log in reverse,
 // restoring the exact pre-repair state. -trace prints each repaired
@@ -35,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,7 +54,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		explain     = flag.Int("explain", -1, "print the repair provenance of this row and exit")
 		stream      = flag.Bool("stream", false, "stream rows through the repairer (constant memory); requires -out")
-		columnar    = flag.Bool("columnar", false, "with -stream: run the columnar batch engine for CSV (identical bytes, higher throughput)")
 		revert      = flag.String("revert", "", "undo a previous repair: apply this -log file in reverse to -data; requires -out")
 		doTrace     = flag.Bool("trace", false, "print a chase trace of each repaired tuple (rule, evidence, old -> new, assured set)")
 		traceSample = flag.Float64("trace-sample", 1, "fraction of rows eligible for -trace, sampled deterministically")
@@ -80,12 +76,8 @@ func main() {
 		}
 		return
 	}
-	if *columnar && !*stream {
-		fmt.Fprintln(os.Stderr, "fixrepair: -columnar requires -stream")
-		os.Exit(2)
-	}
 	tc := traceConfig{enabled: *doTrace, sample: *traceSample, max: *traceMax}
-	if err := run(*rulesPath, *dataPath, *outPath, *logPath, *alg, *workers, *explain, *stream, *columnar, tc); err != nil {
+	if err := run(*rulesPath, *dataPath, *outPath, *logPath, *alg, *workers, *explain, *stream, tc); err != nil {
 		fmt.Fprintln(os.Stderr, "fixrepair:", err)
 		os.Exit(1)
 	}
@@ -111,7 +103,7 @@ func (tc traceConfig) newRecorder(needLog bool) *fixrule.ChaseRecorder {
 	return nil
 }
 
-func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int, stream, columnar bool, tc traceConfig) error {
+func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int, stream bool, tc traceConfig) error {
 	rs, err := ruleio.LoadFile(rulesPath)
 	if err != nil {
 		return err
@@ -144,13 +136,6 @@ func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int
 		if err != nil {
 			return err
 		}
-		// Resolve the worker count the same way the repair engine would, so
-		// the summary line can report what actually ran; exactly one worker
-		// takes the sequential loop (no pipeline overhead to pay).
-		w := workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
 		// The recorder gives streaming the -log support batch mode has: it
 		// captures every change (global row numbers, any worker count), and
 		// rec.Log() is exactly the entries a batch repair would write.
@@ -158,31 +143,18 @@ func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int
 		start := time.Now()
 		var stats *fixrule.StreamStats
 		ctx := context.Background()
-		frel := strings.HasSuffix(dataPath, ".frel") && strings.HasSuffix(outPath, ".frel")
+		opts := fixrule.StreamOptions{Workers: workers, Recorder: rec}
 		fcolIn := strings.HasSuffix(dataPath, ".fcol")
 		fcolOut := strings.HasSuffix(outPath, ".fcol")
 		switch {
 		case fcolIn && !fcolOut:
 			err = fmt.Errorf(".fcol input requires a .fcol -out path")
 		case fcolIn:
-			stats, err = rep.StreamColumnar(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
+			stats, err = rep.StreamColumnar(ctx, in, out, algorithm, opts)
 		case fcolOut:
-			stats, err = rep.StreamCSVToColumnar(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		case frel && w > 1:
-			stats, err = rep.StreamFrelParallelOpts(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		case frel:
-			stats, err = rep.StreamFrelTraced(ctx, in, out, algorithm, rec)
-		case columnar:
-			stats, err = rep.StreamCSVColumnar(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		case w > 1:
-			stats, err = rep.StreamCSVParallelOpts(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
+			stats, err = rep.StreamCSVToColumnar(ctx, in, out, algorithm, opts)
 		default:
-			stats, err = rep.StreamCSVTraced(ctx, in, out, algorithm, rec)
+			stats, err = rep.StreamCSV(ctx, in, out, algorithm, opts)
 		}
 		if err != nil {
 			out.Close()
@@ -332,7 +304,7 @@ func runRevert(logPath, dataPath, outPath string) error {
 		return err
 	}
 	// The repaired relation's schema is not known without rules; recover it
-	// from the CSV header (or frel schema) by reading the raw file.
+	// from the CSV header (or fcol schema) by reading the raw file.
 	rel, err := loadRelationAnySchema(dataPath)
 	if err != nil {
 		return err
@@ -347,10 +319,10 @@ func runRevert(logPath, dataPath, outPath string) error {
 	return nil
 }
 
-// loadRelationAnySchema reads a relation without a schema expectation: frel
+// loadRelationAnySchema reads a relation without a schema expectation: fcol
 // files are self-describing, and CSV headers define an ad-hoc schema.
 func loadRelationAnySchema(path string) (*fixrule.Relation, error) {
-	if strings.HasSuffix(path, ".frel") {
+	if strings.HasSuffix(path, ".fcol") {
 		return store.Load(path)
 	}
 	f, err := os.Open(path)
@@ -375,25 +347,25 @@ func loadRelationAnySchema(path string) (*fixrule.Relation, error) {
 	return rel, nil
 }
 
-// loadRelation reads CSV or, for *.frel paths, the compact binary format.
-// frel files carry their own schema, which must match the rules' schema.
+// loadRelation reads CSV or, for *.fcol paths, the fcol format. fcol files
+// carry their own schema, which must match the rules' schema.
 func loadRelation(path string, sch *fixrule.Schema) (*fixrule.Relation, error) {
-	if strings.HasSuffix(path, ".frel") {
+	if strings.HasSuffix(path, ".fcol") {
 		rel, err := store.Load(path)
 		if err != nil {
 			return nil, err
 		}
 		if !rel.Schema().Equal(sch) {
-			return nil, fmt.Errorf("frel schema %s does not match rule schema %s", rel.Schema(), sch)
+			return nil, fmt.Errorf("fcol schema %s does not match rule schema %s", rel.Schema(), sch)
 		}
 		return rel, nil
 	}
 	return fixrule.LoadCSV(path, sch)
 }
 
-// saveRelation writes CSV or, for *.frel paths, the compact binary format.
+// saveRelation writes CSV or, for *.fcol paths, the fcol format.
 func saveRelation(path string, rel *fixrule.Relation) error {
-	if strings.HasSuffix(path, ".frel") {
+	if strings.HasSuffix(path, ".fcol") {
 		return store.Save(path, rel)
 	}
 	return fixrule.SaveCSV(path, rel)

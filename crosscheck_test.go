@@ -67,13 +67,14 @@ func TestCompiledRepairMatchesReference(t *testing.T) {
 	}
 }
 
-// TestColumnarStreamMatchesRowStream cross-checks the columnar batch
-// engine against the row-at-a-time streaming path on the two benchmark
-// workloads: for each dataset and worker count, StreamCSVColumnar must
-// produce byte-identical output and identical stream statistics. The raw
-// direct-Σ coding, exact-match row filter and zero-copy span emission must
-// all be pure optimisations.
-func TestColumnarStreamMatchesRowStream(t *testing.T) {
+// TestStreamCSVMatchesReference cross-checks StreamCSV against the
+// reference on the two benchmark workloads: the CSV parsed by encoding/csv,
+// repaired by RepairRelation (pinned to core.Fix above) and rendered by
+// encoding/csv. For each dataset, algorithm and worker count the stream
+// must produce byte-identical output and the stats the reference Result
+// implies. The raw direct-Σ coding, exact-match row filter and zero-copy
+// span emission must all be pure optimisations.
+func TestStreamCSVMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		load func(testing.TB) *benchWorkload
@@ -88,39 +89,48 @@ func TestColumnarStreamMatchesRowStream(t *testing.T) {
 			if err := schema.WriteCSV(&in, w.dirty); err != nil {
 				t.Fatal(err)
 			}
-
-			var ref bytes.Buffer
-			refStats, err := rep.StreamCSV(bytes.NewReader(in.Bytes()), &ref, repair.Linear)
+			rel, err := schema.ReadCSV(bytes.NewReader(in.Bytes()), w.dirty.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if refStats.Repaired == 0 {
-				t.Fatalf("%s: row stream repaired nothing; workload is not exercising the engine", tc.name)
-			}
-
-			for _, workers := range []int{1, 4} {
-				var got bytes.Buffer
-				stats, err := rep.StreamCSVColumnar(context.Background(),
-					bytes.NewReader(in.Bytes()), &got, repair.Linear,
-					repair.ParallelOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+			for _, alg := range []repair.Algorithm{repair.Linear, repair.Chase} {
+				res := rep.RepairRelation(rel, alg)
+				var ref bytes.Buffer
+				if err := schema.WriteCSV(&ref, res.Relation); err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-					t.Errorf("workers=%d: columnar output differs from row stream (%d vs %d bytes)",
-						workers, got.Len(), ref.Len())
+				repaired := 0
+				for i, c := range res.Changed {
+					if i == 0 || res.Changed[i-1].Row != c.Row {
+						repaired++
+					}
 				}
-				if stats.Rows != refStats.Rows || stats.Repaired != refStats.Repaired ||
-					stats.Steps != refStats.Steps || stats.OOV != refStats.OOV {
-					t.Errorf("workers=%d: stats = %d/%d/%d/%d rows/repaired/steps/oov, reference %d/%d/%d/%d",
-						workers, stats.Rows, stats.Repaired, stats.Steps, stats.OOV,
-						refStats.Rows, refStats.Repaired, refStats.Steps, refStats.OOV)
+				if repaired == 0 {
+					t.Fatalf("%v: reference repaired nothing; workload is not exercising the engine", alg)
 				}
-				if !maps.Equal(stats.PerRule, refStats.PerRule) {
-					t.Errorf("workers=%d: per-rule counts differ", workers)
-				}
-				if !maps.Equal(stats.OOVByAttr, refStats.OOVByAttr) {
-					t.Errorf("workers=%d: per-attribute OOV counts differ", workers)
+				for _, workers := range []int{1, 4} {
+					var got bytes.Buffer
+					stats, err := rep.StreamCSV(context.Background(), bytes.NewReader(in.Bytes()), &got, alg,
+						repair.ParallelOptions{Workers: workers})
+					if err != nil {
+						t.Fatalf("%v workers=%d: %v", alg, workers, err)
+					}
+					if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+						t.Errorf("%v workers=%d: output differs from the reference (%d vs %d bytes)",
+							alg, workers, got.Len(), ref.Len())
+					}
+					if stats.Rows != rel.Len() || stats.Repaired != repaired ||
+						stats.Steps != res.Steps || stats.OOV != res.OOV {
+						t.Errorf("%v workers=%d: stats = %d/%d/%d/%d rows/repaired/steps/oov, reference %d/%d/%d/%d",
+							alg, workers, stats.Rows, stats.Repaired, stats.Steps, stats.OOV,
+							rel.Len(), repaired, res.Steps, res.OOV)
+					}
+					if !maps.Equal(stats.PerRule, res.PerRule) {
+						t.Errorf("%v workers=%d: per-rule counts differ", alg, workers)
+					}
+					if !maps.Equal(stats.OOVByAttr, res.OOVByAttr) {
+						t.Errorf("%v workers=%d: per-attribute OOV counts differ", alg, workers)
+					}
 				}
 			}
 		})

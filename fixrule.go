@@ -207,12 +207,10 @@ type Explanation = repair.Explanation
 // StreamStats summarises a Repairer.StreamCSV run.
 type StreamStats = repair.StreamStats
 
-// StreamOptions tunes the parallel streaming repairs
-// (Repairer.StreamCSVParallelOpts / StreamFrelParallelOpts): worker count,
-// rows per pipeline chunk, optional occupancy gauges, and an optional
-// ChaseRecorder. The parallel streams produce byte-identical output and
-// identical StreamStats to their sequential counterparts at any worker
-// count.
+// StreamOptions tunes the streaming repairs (Repairer.StreamCSV,
+// StreamCSVToColumnar, StreamColumnar): worker count, rows per pipeline
+// chunk, optional occupancy gauges, and an optional ChaseRecorder. The
+// streams produce the same output and StreamStats at any worker count.
 type StreamOptions = repair.ParallelOptions
 
 // ChaseRecorder captures per-tuple chase traces — which rules fired on

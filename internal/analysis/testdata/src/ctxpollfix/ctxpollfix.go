@@ -18,7 +18,7 @@ func unpolledReader(ctx context.Context, s *source) int {
 	return rows
 }
 
-// polledReader is the engine's ctxCheckMask pattern.
+// polledReader polls ctx once per bounded batch of rows.
 func polledReader(ctx context.Context, s *source) (int, error) {
 	rows := 0
 	for s.next() {

@@ -26,10 +26,12 @@ type RepairBench struct {
 	TuplesPerSec float64 `json:"tuples_per_sec"`
 	NsPerTuple   float64 `json:"ns_per_tuple"`
 	Steps        int     `json:"steps"`
-	// Procs records GOMAXPROCS at measurement time: the parallel rows are
-	// only meaningful relative to it (on a single-core host parallel ≈
-	// sequential by design).
-	Procs int `json:"gomaxprocs"`
+	// Procs records GOMAXPROCS at measurement time and NumCPU the host's
+	// logical CPUs: the parallel rows are only meaningful relative to them
+	// (before Go 1.25 GOMAXPROCS ignores a container's CPU quota, so the
+	// two can disagree).
+	Procs  int `json:"gomaxprocs"`
+	NumCPU int `json:"num_cpu"`
 }
 
 // benchReps times enough whole-relation repairs to exceed a fixed wall
@@ -52,9 +54,8 @@ func benchReps(budget time.Duration, run func()) time.Duration {
 
 // BenchRepair measures whole-relation repair throughput on the named
 // dataset with its default workload and returns one record per
-// configuration: cRepair, lRepair, lRepair with the parallel driver, the
-// sequential and parallel row-at-a-time CSV streaming paths, and the
-// columnar batch engine (sequential and parallel).
+// configuration: cRepair, lRepair, lRepair with the parallel driver, and
+// the CSV stream (StreamCSV at GOMAXPROCS workers).
 func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 	w, err := makeWorkload(cfg, ds, 0.5)
 	if err != nil {
@@ -69,8 +70,8 @@ func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 	n := w.dirty.Len()
 	steps := rep.RepairRelation(w.dirty, repair.Linear).Steps
 
-	// The streaming rows repair the same relation through the CSV codecs,
-	// so they carry parse + format cost on top of repair; rendered once,
+	// The stream row repairs the same relation through the CSV codecs, so
+	// it carries parse + format cost on top of repair; rendered once,
 	// replayed from memory.
 	var csvIn bytes.Buffer
 	if err := schema.WriteCSV(&csvIn, w.dirty); err != nil {
@@ -79,7 +80,7 @@ func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 	in := csvIn.Bytes()
 
 	const budget = 2 * time.Second
-	out := make([]RepairBench, 0, 7)
+	out := make([]RepairBench, 0, 4)
 	for _, m := range []struct {
 		name string
 		run  func()
@@ -88,23 +89,7 @@ func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 		{"lRepair", func() { rep.RepairRelation(w.dirty, repair.Linear) }},
 		{"lRepair/parallel", func() { rep.RepairRelationParallel(w.dirty, repair.Linear, 0) }},
 		{"lRepair/stream", func() {
-			if _, err := rep.StreamCSV(bytes.NewReader(in), io.Discard, repair.Linear); err != nil {
-				panic(err)
-			}
-		}},
-		{"lRepair/stream-parallel", func() {
-			if _, err := rep.StreamCSVParallel(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear, 0); err != nil {
-				panic(err)
-			}
-		}},
-		{"lRepair/stream-columnar", func() {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
-				repair.ParallelOptions{Workers: 1}); err != nil {
-				panic(err)
-			}
-		}},
-		{"lRepair/stream-columnar-parallel", func() {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
+			if _, err := rep.StreamCSV(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
 				repair.ParallelOptions{}); err != nil {
 				panic(err)
 			}
@@ -120,6 +105,7 @@ func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 			NsPerTuple:   float64(d.Nanoseconds()) / float64(n),
 			Steps:        steps,
 			Procs:        runtime.GOMAXPROCS(0),
+			NumCPU:       runtime.NumCPU(),
 		})
 	}
 	return out, nil

@@ -21,6 +21,7 @@ type LoadRecord struct {
 	NsPerTuple   float64 `json:"ns_per_tuple"`
 	Steps        int     `json:"steps"`
 	Procs        int     `json:"gomaxprocs"`
+	NumCPU       int     `json:"num_cpu"`
 
 	TargetRPS   float64 `json:"target_rps"`
 	AchievedRPS float64 `json:"achieved_rps"`
@@ -56,6 +57,7 @@ func (r *Report) Record(dataset, algorithm, slo string) LoadRecord {
 		Algorithm:    algorithm,
 		TuplesPerSec: r.TuplesPerSec(),
 		Procs:        runtime.GOMAXPROCS(0),
+		NumCPU:       runtime.NumCPU(),
 		TargetRPS:    r.TargetRPS,
 		AchievedRPS:  r.AchievedRPS(),
 		P50Ms:        ms(r.Latency.Quantile(0.50)),

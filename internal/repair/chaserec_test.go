@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,37 +95,61 @@ func skewedCSV(rows int) (string, []int) {
 }
 
 // TestChaseRecorderStreamingRowsExact: streaming recorders must key traces
-// by global input row at any worker count, and the recorded set must be
-// identical (sequential, parallel, and batch all agree).
+// by global input row at any worker count and chunk size, and the recorded
+// traces — rows, rule order, pre-repair values — must equal the batch
+// repair's.
 func TestChaseRecorderStreamingRowsExact(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	input, dirty := skewedCSV(1500)
-
-	seqRec := NewChaseRecorder(-1, 1, 0)
-	var seqOut bytes.Buffer
-	if _, err := r.StreamCSVTraced(context.Background(), strings.NewReader(input), &seqOut, Linear, seqRec); err != nil {
+	rel, err := readCSVRelation(t, input)
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := NewChaseRecorder(-1, 1, 0)
+	r.RepairRelationRecorded(rel, Linear, want)
 	var rows []int
-	for _, tt := range seqRec.Tuples() {
+	for _, tt := range want.Tuples() {
 		rows = append(rows, tt.Row)
 	}
 	if !reflect.DeepEqual(rows, dirty) {
-		t.Fatalf("sequential recorded rows = %v, want %v", rows, dirty)
+		t.Fatalf("batch recorded rows = %v, want %v", rows, dirty)
 	}
 
-	for _, workers := range []int{2, 3, 8} {
-		parRec := NewChaseRecorder(-1, 1, 0)
-		var parOut bytes.Buffer
-		opts := ParallelOptions{Workers: workers, ChunkRows: 64, Recorder: parRec}
-		if _, err := r.StreamCSVParallelOpts(context.Background(), strings.NewReader(input), &parOut, Linear, opts); err != nil {
+	for _, workers := range []int{1, 2, 3, 8} {
+		rec := NewChaseRecorder(-1, 1, 0)
+		opts := ParallelOptions{Workers: workers, ChunkRows: 64, Recorder: rec}
+		if _, err := r.StreamCSV(context.Background(), strings.NewReader(input), io.Discard, Linear, opts); err != nil {
 			t.Fatal(err)
 		}
-		if parOut.String() != seqOut.String() {
-			t.Fatalf("workers=%d: output differs from sequential", workers)
+		if !reflect.DeepEqual(rec.Tuples(), want.Tuples()) {
+			t.Fatalf("workers=%d: recorded traces differ from the batch repair's", workers)
 		}
-		if !reflect.DeepEqual(parRec.Tuples(), seqRec.Tuples()) {
-			t.Fatalf("workers=%d: recorded traces differ from sequential", workers)
+	}
+}
+
+// TestStreamCSVColumnarRecorder: cRepair traces recorded through the
+// stream — over CSV-hostile values and the two-step φ1→φ4 cascade — equal
+// the batch repair's at any worker count: global row numbers, rule order,
+// and pre-repair values.
+func TestStreamCSVColumnarRecorder(t *testing.T) {
+	r := NewRepairer(paperRuleset())
+	rel := skewedRelation(1000)
+	in := relationCSV(t, rel)
+
+	want := NewChaseRecorder(-1, 1, 0)
+	r.RepairRelationRecorded(rel, Chase, want)
+	if want.Len() == 0 {
+		t.Fatal("no traces recorded")
+	}
+	for _, workers := range []int{1, 3} {
+		rec := NewChaseRecorder(-1, 1, 0)
+		_, err := r.StreamCSV(context.Background(), bytes.NewReader(in), io.Discard, Chase,
+			ParallelOptions{Workers: workers, ChunkRows: 128, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Tuples(), rec.Tuples()) {
+			t.Errorf("workers=%d: stream traces differ from the batch repair's", workers)
 		}
 	}
 }
@@ -138,13 +163,8 @@ func TestStreamLogRevertRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rec := NewChaseRecorder(-1, 1, 0)
 		var out bytes.Buffer
-		var err error
-		if workers > 1 {
-			_, err = r.StreamCSVParallelOpts(context.Background(), strings.NewReader(input), &out,
-				Linear, ParallelOptions{Workers: workers, Recorder: rec})
-		} else {
-			_, err = r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec)
-		}
+		_, err := r.StreamCSV(context.Background(), strings.NewReader(input), &out,
+			Linear, ParallelOptions{Workers: workers, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,14 +218,8 @@ func TestChaseRecorderSamplingDeterministic(t *testing.T) {
 	input, dirty := skewedCSV(1500)
 	runRows := func(seed uint64, workers int) []int {
 		rec := NewChaseRecorder(-1, 0.4, seed)
-		var out bytes.Buffer
-		var err error
-		if workers > 1 {
-			_, err = r.StreamCSVParallelOpts(context.Background(), strings.NewReader(input), &out,
-				Linear, ParallelOptions{Workers: workers, Recorder: rec})
-		} else {
-			_, err = r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec)
-		}
+		_, err := r.StreamCSV(context.Background(), strings.NewReader(input), io.Discard,
+			Linear, ParallelOptions{Workers: workers, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,8 +244,8 @@ func TestChaseRecorderSamplingDeterministic(t *testing.T) {
 	}
 	if rows := func() []int {
 		rec := NewChaseRecorder(-1, 0, 0)
-		var out bytes.Buffer
-		if _, err := r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec); err != nil {
+		if _, err := r.StreamCSV(context.Background(), strings.NewReader(input), io.Discard,
+			Linear, ParallelOptions{Workers: 1, Recorder: rec}); err != nil {
 			t.Fatal(err)
 		}
 		var rr []int
@@ -249,8 +263,8 @@ func TestChaseRecorderCap(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	input, dirty := skewedCSV(300)
 	rec := NewChaseRecorder(2, 1, 0)
-	var out bytes.Buffer
-	if _, err := r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec); err != nil {
+	if _, err := r.StreamCSV(context.Background(), strings.NewReader(input), io.Discard,
+		Linear, ParallelOptions{Workers: 1, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() != 2 {
@@ -291,33 +305,6 @@ func TestChaseRecorderDroppedBounded(t *testing.T) {
 	}
 }
 
-// TestRecorderDisabledZeroAlloc is the benchmark guard for the tentpole's
-// core constraint: with a nil recorder the streaming repair loop (encode +
-// per-attr OOV accounting + coded chase + write-back) allocates nothing.
-func TestRecorderDisabledZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates inside sync.Pool")
-	}
-	r := NewRepairer(paperRuleset())
-	dirty := schema.Tuple{"Ian", "China", "Shanghai", "Hongkong", "ICDE"}
-	tup := dirty.Clone()
-	stats := r.newStreamStats()
-	sc := r.getScratch()
-	defer r.putScratch(sc)
-	for _, alg := range []Algorithm{Chase, Linear} {
-		// Warm: populates the PerRule map keys outside the measured runs.
-		copy(tup, dirty)
-		r.repairInPlace(tup, alg, sc, stats, nil)
-		allocs := testing.AllocsPerRun(100, func() {
-			copy(tup, dirty)
-			r.repairInPlace(tup, alg, sc, stats, nil)
-		})
-		if allocs != 0 {
-			t.Errorf("%v: %v allocs per repairInPlace with recorder disabled, want 0", alg, allocs)
-		}
-	}
-}
-
 // TestRepairRelationParallelRecordedMatchesSequential: batch parallel
 // recording agrees with sequential on a relation large enough to spread
 // over many chunks.
@@ -347,8 +334,8 @@ func TestRepairRelationParallelRecordedMatchesSequential(t *testing.T) {
 }
 
 // TestOOVByAttrAccounting: the per-attribute OOV breakdown sums to OOV and
-// names the right attributes on all three paths (batch, stream, parallel
-// stream).
+// names the right attributes on the batch path and the stream at one
+// worker and at several.
 func TestOOVByAttrAccounting(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	rel := schema.NewRelation(travel())
@@ -375,20 +362,14 @@ func TestOOVByAttrAccounting(t *testing.T) {
 	var b bytes.Buffer
 	writeCSVRelation(t, &b, rel)
 	input := b.String()
-	var out bytes.Buffer
-	stats, err := r.StreamCSV(strings.NewReader(input), &out, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stats.OOVByAttr, want) {
-		t.Fatalf("stream OOVByAttr = %v, want %v", stats.OOVByAttr, want)
-	}
-	out.Reset()
-	pstats, err := r.StreamCSVParallel(context.Background(), strings.NewReader(input), &out, Linear, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pstats.OOVByAttr, want) {
-		t.Fatalf("parallel stream OOVByAttr = %v, want %v", pstats.OOVByAttr, want)
+	for _, workers := range []int{1, 3} {
+		stats, err := r.StreamCSV(context.Background(), strings.NewReader(input), io.Discard,
+			Linear, ParallelOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stats.OOVByAttr, want) {
+			t.Fatalf("workers=%d: stream OOVByAttr = %v, want %v", workers, stats.OOVByAttr, want)
+		}
 	}
 }

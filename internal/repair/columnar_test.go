@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -24,56 +23,14 @@ func relationFcol(tb testing.TB, rel *schema.Relation, chunkRows int) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamCSVColumnarByteIdentical: the columnar engine's golden
-// property — for every worker count and chunk size, its CSV output bytes
-// and StreamStats equal the row-at-a-time sequential stream's exactly,
-// including on CSV-hostile values and the chunk-skipping prefilter paths.
-func TestStreamCSVColumnarByteIdentical(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	in := relationCSV(t, skewedRelation(4000))
-
-	var seqOut bytes.Buffer
-	seqStats, err := r.StreamCSV(bytes.NewReader(in), &seqOut, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqStats.Repaired == 0 || seqStats.OOV == 0 {
-		t.Fatalf("workload not adversarial as intended: %+v", seqStats)
-	}
-	for _, alg := range []Algorithm{Linear, Chase} {
-		algStats, err := r.StreamCSV(bytes.NewReader(in), io.Discard, alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range workerCounts() {
-			for _, chunkRows := range []int{0, 64, 1} {
-				var colOut bytes.Buffer
-				colStats, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in), &colOut, alg,
-					ParallelOptions{Workers: workers, ChunkRows: chunkRows})
-				if err != nil {
-					t.Fatalf("%v workers=%d chunk=%d: %v", alg, workers, chunkRows, err)
-				}
-				if !bytes.Equal(seqOut.Bytes(), colOut.Bytes()) {
-					t.Errorf("%v workers=%d chunk=%d: output bytes differ from sequential", alg, workers, chunkRows)
-				}
-				if !reflect.DeepEqual(algStats, colStats) {
-					t.Errorf("%v workers=%d chunk=%d: stats = %+v, want %+v", alg, workers, chunkRows, colStats, algStats)
-				}
-			}
-		}
-	}
-}
-
 // TestStreamColumnarFcol: the fcol→fcol path repairs to the same rows and
-// stats as the CSV paths, and its output decodes cleanly (checksummed).
+// stats as the reference at any worker count, its output decodes cleanly
+// (checksummed), and a dead context stops it like the CSV path.
 func TestStreamColumnarFcol(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	rel := skewedRelation(2000)
 	want := r.RepairRelation(rel, Linear)
-	seqStats, err := r.StreamCSV(bytes.NewReader(relationCSV(t, rel)), io.Discard, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, seqStats := referenceStream(t, r, relationCSV(t, rel), Linear)
 	for _, workers := range workerCounts() {
 		for _, chunkRows := range []int{256, 3000} {
 			in := relationFcol(t, rel, chunkRows)
@@ -95,6 +52,15 @@ func TestStreamColumnarFcol(t *testing.T) {
 			}
 		}
 	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		_, err := r.StreamColumnar(dead, bytes.NewReader(relationFcol(t, rel, 256)), io.Discard, Linear,
+			ParallelOptions{Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: dead context: err = %v, want context.Canceled", workers, err)
+		}
+	}
 }
 
 // TestStreamColumnarFcolSchemaMismatch: a stream whose schema differs from
@@ -107,152 +73,5 @@ func TestStreamColumnarFcolSchemaMismatch(t *testing.T) {
 	_, err := r.StreamColumnar(context.Background(), bytes.NewReader(in), io.Discard, Linear, ParallelOptions{})
 	if err == nil || !strings.Contains(err.Error(), "does not match rule schema") {
 		t.Fatalf("err = %v, want schema mismatch", err)
-	}
-}
-
-// TestStreamCSVColumnarErrors: the columnar CSV path rejects and accepts
-// exactly what the row path does — bad headers, BOM inputs, malformed rows
-// with the same row numbering, dead contexts.
-func TestStreamCSVColumnarErrors(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	ctx := context.Background()
-
-	t.Run("bad header", func(t *testing.T) {
-		in := "wrong,country,capital,city,conf\n"
-		_, err := r.StreamCSVColumnar(ctx, strings.NewReader(in), io.Discard, Linear, ParallelOptions{})
-		if err == nil || !strings.Contains(err.Error(), `field 0 is "wrong"`) {
-			t.Fatalf("err = %v, want header field error", err)
-		}
-	})
-	t.Run("bom", func(t *testing.T) {
-		plain := "name,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n"
-		var want bytes.Buffer
-		if _, err := r.StreamCSV(strings.NewReader(plain), &want, Linear); err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if _, err := r.StreamCSVColumnar(ctx, strings.NewReader("\xEF\xBB\xBF"+plain), &got, Linear, ParallelOptions{}); err != nil {
-			t.Fatalf("BOM input rejected: %v", err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Error("BOM input repaired differently from plain input")
-		}
-	})
-	t.Run("row error", func(t *testing.T) {
-		in := "name,country,capital,city,conf\n" +
-			"Ian,China,Shanghai,Hongkong,ICDE\n" +
-			"broken,row\n"
-		for _, workers := range []int{1, 2} {
-			_, err := r.StreamCSVColumnar(ctx, strings.NewReader(in), io.Discard, Linear, ParallelOptions{Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), "stream row 2") {
-				t.Fatalf("workers=%d: err = %v, want row 2 stream error", workers, err)
-			}
-		}
-	})
-	t.Run("cancelled", func(t *testing.T) {
-		in := relationCSV(t, skewedRelation(2000))
-		dead, cancel := context.WithCancel(ctx)
-		cancel()
-		for _, workers := range []int{1, 4} {
-			_, err := r.StreamCSVColumnar(dead, bytes.NewReader(in), io.Discard, Linear, ParallelOptions{Workers: workers})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-			}
-		}
-	})
-}
-
-// TestStreamCSVColumnarRecorder: chase traces recorded through the
-// columnar engine equal the row engine's at any worker count — global row
-// numbers, rule order, and pre-repair values.
-func TestStreamCSVColumnarRecorder(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	in := relationCSV(t, skewedRelation(1000))
-
-	want := NewChaseRecorder(-1, 1, 0)
-	if _, err := r.StreamCSVTraced(context.Background(), bytes.NewReader(in), io.Discard, Linear, want); err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("no traces recorded")
-	}
-	for _, workers := range []int{1, 3} {
-		rec := NewChaseRecorder(-1, 1, 0)
-		_, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, Linear,
-			ParallelOptions{Workers: workers, ChunkRows: 128, Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Tuples(), rec.Tuples()) {
-			t.Errorf("workers=%d: columnar traces differ from sequential", workers)
-		}
-	}
-}
-
-// lowCardRelation exercises the steady-state batch loops: a handful of
-// distinct values per column, a stable mix of repaired and clean rows.
-func lowCardRelation(n int) *schema.Relation {
-	rel := schema.NewRelation(travel())
-	for i := 0; i < n; i++ {
-		switch i % 7 {
-		case 0:
-			rel.Append(schema.Tuple{"pat", "China", "Shanghai", "Hongkong", "ICDE"})
-		case 1:
-			rel.Append(schema.Tuple{"lee", "Canada", "Toronto", "Toronto", "VLDB"})
-		default:
-			rel.Append(schema.Tuple{"kim", "China", "Beijing", "Beijing", "SIGMOD"})
-		}
-	}
-	return rel
-}
-
-// TestStreamCSVColumnarAllocsPerRow pins the batch engine's allocation
-// budget: once every distinct value is interned, parsing, translation,
-// repair, and rendering run out of reused buffers, so the whole stream
-// costs a fixed setup plus (almost) nothing per row — an order of
-// magnitude under the row engine's ~1 alloc/row.
-func TestStreamCSVColumnarAllocsPerRow(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector adds allocations")
-	}
-	r := NewRepairer(paperRuleset())
-	const rows = 20000
-	in := relationCSV(t, lowCardRelation(rows))
-	avg := testing.AllocsPerRun(5, func() {
-		if _, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, Linear,
-			ParallelOptions{Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > rows*0.05 {
-		t.Errorf("StreamCSVColumnar allocations = %.0f for %d rows (%.3f/row), want ≤ 0.05/row", avg, rows, avg/rows)
-	}
-}
-
-// TestStreamCSVColumnarPrefilterSkip proves the chunk prefilter actually
-// skips: a stream entirely outside Σ's vocabulary repairs nothing, counts
-// its OOV cells, and echoes the input bytes (minus CR/LF normalisation)
-// untouched.
-func TestStreamCSVColumnarPrefilterSkip(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	var in bytes.Buffer
-	in.WriteString("name,country,capital,city,conf\n")
-	for i := 0; i < 500; i++ {
-		fmt.Fprintf(&in, "p%d,Nowhere,None,None,NONE\n", i)
-	}
-	var out bytes.Buffer
-	stats, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in.Bytes()), &out, Linear,
-		ParallelOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Repaired != 0 || stats.Steps != 0 {
-		t.Fatalf("clean stream repaired: %+v", stats)
-	}
-	if stats.OOV == 0 {
-		t.Fatal("expected OOV cells on out-of-vocabulary stream")
-	}
-	if !bytes.Equal(in.Bytes(), out.Bytes()) {
-		t.Error("clean stream not echoed byte-identically")
 	}
 }

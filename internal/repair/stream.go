@@ -2,13 +2,12 @@ package repair
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 
-	"fixrule/internal/schema"
 	"fixrule/internal/store"
 	"fixrule/internal/trace"
 )
@@ -28,116 +27,310 @@ type StreamStats struct {
 	OOVByAttr map[string]int
 	// PerRule counts corrections per rule name.
 	PerRule map[string]int
-
-	// oovBy is the per-attribute-position accumulator behind OOVByAttr;
-	// increments happen only for OOV cells, so it costs nothing on clean
-	// rows.
-	oovBy []int64
 }
 
-// newStreamStats builds the stats a streaming loop accumulates into.
-func (rp *Repairer) newStreamStats() *StreamStats {
-	return &StreamStats{PerRule: make(map[string]int), oovBy: make([]int64, rp.c.arity)}
+// defaultStreamChunkRows is the CSV pipeline's work unit: large enough that
+// channel handoffs amortise to nothing against the per-row repair cost,
+// small enough that the unit pool — and so peak memory — stays a few MB
+// even with wide rows.
+const defaultStreamChunkRows = 512
+
+// streamWriteBufSize sizes the output buffer of the streaming paths;
+// repaired chunks are rendered into worker-local buffers and the ordered
+// writer just copies bytes, so a generous buffer batches syscalls.
+const streamWriteBufSize = 1 << 18
+
+// gaugeAdd is the hook the pipeline reports occupancy through; *obs.Gauge
+// satisfies it without this package importing the metrics layer.
+type gaugeAdd interface{ Add(int64) }
+
+// ParallelOptions tunes a streaming repair.
+type ParallelOptions struct {
+	// Workers is the repair worker count; <= 0 selects GOMAXPROCS, and 1
+	// runs a fully sequential loop with no goroutines.
+	Workers int
+	// ChunkRows is the number of rows per pipeline work unit; <= 0 selects
+	// the entry point's default.
+	ChunkRows int
+	// QueueDepth, when non-nil, receives +1 when a chunk is queued for
+	// repair and -1 when a worker picks it up (e.g. an *obs.Gauge).
+	QueueDepth gaugeAdd
+	// BusyWorkers, when non-nil, receives +1 when a worker starts repairing
+	// a chunk and -1 when it finishes.
+	BusyWorkers gaugeAdd
+	// Recorder, when non-nil, captures per-tuple chase traces of repaired
+	// rows. Row numbers are global input positions, so the recorded traces
+	// are identical at any worker count.
+	Recorder *ChaseRecorder
 }
 
-// finishStreamStats folds the positional OOV accumulator into the
-// attribute-keyed map.
-func (rp *Repairer) finishStreamStats(stats *StreamStats) {
-	stats.OOVByAttr = rp.oovByAttr(stats.oovBy)
-}
-
-// repairInPlace encodes t into the scratch row, repairs the codes, and
-// writes the applied facts back into t itself — the streaming hot path,
-// which owns its row buffer and needs no defensive clone. rec, when
-// non-nil, captures the applied steps (with the pre-write string in hand,
-// the recorder never needs a reverse dictionary); the nil path costs one
-// predictable branch per applied rule.
-func (rp *Repairer) repairInPlace(t schema.Tuple, alg Algorithm, sc *codedScratch, stats *StreamStats, rec *ChaseRecorder) {
-	rp.c.encodeInto(t, sc.row)
-	if stats.oovBy != nil {
-		stats.OOV += rp.c.countOOVInto(sc.row, stats.oovBy)
-	} else {
-		stats.OOV += rp.c.countOOV(sc.row)
+// withDefaults resolves the worker count and, when unset, the chunk size.
+func (o ParallelOptions) withDefaults(chunkRows int) ParallelOptions {
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	applied := rp.repairEncoded(sc.row, sc, alg)
-	row := stats.Rows
-	stats.Rows++
-	if len(applied) == 0 {
-		return
+	if o.ChunkRows <= 0 {
+		o.ChunkRows = chunkRows
 	}
-	stats.Repaired++
-	stats.Steps += len(applied)
-	for _, pos := range applied {
-		rule := rp.rules[pos]
-		if rec != nil {
-			rec.record(row, pos, rule, t[rule.TargetIndex()])
+	return o
+}
+
+// streamAccData is one worker's private share of the final StreamStats.
+// perRule is indexed by rule position and folded into the name-keyed map
+// once at the end, so workers never touch a map or a lock.
+type streamAccData struct {
+	rows     int
+	chunks   int
+	repaired int
+	steps    int
+	oov      int
+	oovBy    []int64
+	perRule  []int32
+}
+
+// streamAcc pads the accumulator so workers writing adjacent slice entries
+// never share a cache line.
+//
+//fix:padded
+type streamAcc struct {
+	streamAccData
+	_ [64]byte
+}
+
+// statsFromAccs folds per-worker accumulators into the final StreamStats;
+// every statistic is an order-independent sum, so the result is identical
+// at any worker count.
+func (rp *Repairer) statsFromAccs(accs []streamAcc, rows int) *StreamStats {
+	stats := &StreamStats{Rows: rows, PerRule: make(map[string]int)}
+	oovBy := make([]int64, rp.c.arity)
+	total := make([]int64, len(rp.rules))
+	for wi := range accs {
+		stats.Repaired += accs[wi].repaired
+		stats.Steps += accs[wi].steps
+		stats.OOV += accs[wi].oov
+		for a, v := range accs[wi].oovBy {
+			oovBy[a] += v
 		}
-		t[rule.TargetIndex()] = rule.Fact()
-		stats.PerRule[rule.Name()]++
-	}
-}
-
-// StreamCSV repairs a CSV stream tuple by tuple: it reads rows from r
-// (whose header must match the repairer's schema), repairs each with the
-// chosen algorithm, and writes the repaired rows (with header) to w.
-// Memory use is constant in the input size, which suits the data-monitoring
-// deployment the paper contrasts with editing rules: fixing rules repair a
-// stream of incoming tuples with no user in the loop.
-func (rp *Repairer) StreamCSV(r io.Reader, w io.Writer, alg Algorithm) (*StreamStats, error) {
-	return rp.StreamCSVContext(context.Background(), r, w, alg)
-}
-
-// ctxCheckMask throttles context polls on the streaming paths: the
-// deadline is checked every 64 rows, cheap enough to be invisible next to
-// the CSV parse while still bounding overrun to a few microseconds of
-// extra work.
-const ctxCheckMask = 63
-
-// utf8BOM is the UTF-8 byte-order mark many spreadsheet exports prepend.
-// Left in place it glues onto the first header field and fails the header
-// check with a confusing "field 0" error, so the CSV stream openers strip
-// it before validation.
-var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
-
-// openCSVStream strips an optional leading UTF-8 BOM, builds the CSV
-// reader, and validates the header against the repairer's schema. Both the
-// sequential and the parallel CSV streams start here so they reject (and
-// accept) exactly the same inputs.
-func (rp *Repairer) openCSVStream(r io.Reader) (*csv.Reader, []string, error) {
-	sch := rp.rs.Schema()
-	br := bufio.NewReader(r)
-	if lead, err := br.Peek(len(utf8BOM)); err == nil && bytes.Equal(lead, utf8BOM) {
-		br.Discard(len(utf8BOM))
-	}
-	cr := csv.NewReader(br)
-	cr.FieldsPerRecord = sch.Arity()
-	header, err := cr.Read()
-	if err != nil {
-		return nil, nil, fmt.Errorf("repair: stream header: %w", err)
-	}
-	for i, a := range sch.Attrs() {
-		if header[i] != a {
-			return nil, nil, fmt.Errorf("repair: stream header field %d is %q, want %q", i, header[i], a)
+		for pos, n := range accs[wi].perRule {
+			total[pos] += int64(n)
 		}
 	}
-	return cr, header, nil
+	for pos, n := range total {
+		if n > 0 {
+			stats.PerRule[rp.rules[pos].Name()] = int(n)
+		}
+	}
+	stats.OOVByAttr = rp.oovByAttr(oovBy)
+	return stats
 }
 
-// StreamCSVContext is StreamCSV bounded by a context: when ctx is
-// cancelled or its deadline passes, the stream stops between rows and the
-// cause is returned (errors.Is-compatible with context.DeadlineExceeded /
-// context.Canceled). The server uses this to propagate per-request
-// deadlines into long uploads.
-func (rp *Repairer) StreamCSVContext(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm) (*StreamStats, error) {
-	return rp.StreamCSVTraced(ctx, r, w, alg, nil)
+// chunkUnit is one pipeline work unit: a chunk plus its rendered output,
+// reused through the fixed pool. spans is what the writer emits, in order;
+// each span may view out or the chunk's own buffers (both stay untouched
+// until the unit is recycled, which happens only after the emit).
+type chunkUnit[C any] struct {
+	seq     int64
+	rowBase int
+	chunk   C
+	out     []byte
+	spans   [][]byte
+}
+
+// streamChunks is the engine-agnostic pipeline: a bounded unit pool, a
+// reader goroutine, repair+render workers, and a re-sequencing writer on
+// the caller's goroutine. process repairs and renders one unit into u.out
+// using worker-local state S; newState/release bracket each worker's
+// scratch lifetime. Workers == 1 short-circuits to a fully sequential loop
+// with no goroutines.
+func streamChunks[C, S any](ctx context.Context, rp *Repairer, opts ParallelOptions,
+	read func(*C) (int, error), emit func([]byte) error,
+	newState func() S, release func(S),
+	process func(S, *chunkUnit[C], *streamAccData),
+) (*StreamStats, error) {
+	if opts.Workers == 1 {
+		return streamChunksSeq(ctx, rp, opts, read, emit, newState, release, process)
+	}
+	workers := opts.Workers
+
+	psp := trace.SpanFromContext(ctx).StartChild("repair.stream.parallel")
+	psp.SetAttr(trace.Int("workers", workers), trace.Int("chunk_rows", opts.ChunkRows))
+
+	// The fixed unit pool bounds memory: every unit is always in exactly
+	// one place (recycle, work, a worker, done, or the writer's pending
+	// window), so poolSize units of ChunkRows rows is the high-water mark.
+	poolSize := 2*workers + 2
+	recycle := make(chan *chunkUnit[C], poolSize)
+	for i := 0; i < poolSize; i++ {
+		recycle <- &chunkUnit[C]{}
+	}
+	work := make(chan *chunkUnit[C], poolSize)
+	done := make(chan *chunkUnit[C], poolSize)
+
+	// readErr and rowsRead are written by the reader goroutine only; the
+	// close(work) → workers drain → close(done) → writer-loop-exit chain
+	// orders those writes before the caller reads them below.
+	var readErr error
+	rowsRead := 0
+	go func() {
+		defer close(work)
+		seq := int64(0)
+		for {
+			if err := ctx.Err(); err != nil {
+				readErr = fmt.Errorf("repair: stream cancelled at row %d: %w", rowsRead, err)
+				return
+			}
+			u := <-recycle
+			n, err := read(&u.chunk)
+			if err == io.EOF {
+				recycle <- u
+				return
+			}
+			if err != nil {
+				readErr = fmt.Errorf("repair: stream row %d: %w", rowsRead+1, err)
+				recycle <- u
+				return
+			}
+			u.seq = seq
+			seq++
+			u.rowBase = rowsRead
+			rowsRead += n
+			if opts.QueueDepth != nil {
+				opts.QueueDepth.Add(1)
+			}
+			work <- u
+		}
+	}()
+
+	accs := make([]streamAcc, workers)
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(acc *streamAccData) {
+			defer wg.Done()
+			acc.perRule = make([]int32, len(rp.rules))
+			acc.oovBy = make([]int64, rp.c.arity)
+			wsp := psp.StartChild("repair.worker")
+			ws := newState()
+			for u := range work {
+				if opts.QueueDepth != nil {
+					opts.QueueDepth.Add(-1)
+				}
+				if opts.BusyWorkers != nil {
+					opts.BusyWorkers.Add(1)
+				}
+				process(ws, u, acc)
+				if opts.BusyWorkers != nil {
+					opts.BusyWorkers.Add(-1)
+				}
+				done <- u
+			}
+			release(ws)
+			wsp.SetAttr(
+				trace.Int("chunks", acc.chunks),
+				trace.Int("rows", acc.rows),
+				trace.Int("repaired", acc.repaired),
+				trace.Int("steps", acc.steps),
+			)
+			wsp.End()
+		}(&accs[wi].streamAccData)
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+
+	// Re-sequencing writer, on the caller's goroutine. After the first
+	// write error the loop keeps draining (workers must never block on a
+	// full done channel) but discards bytes.
+	var writeErr error
+	pending := make(map[int64]*chunkUnit[C], poolSize)
+	next := int64(0)
+	for u := range done {
+		pending[u.seq] = u
+		//fix:allow ctxpoll: drains the bounded pending map and exits when the next unit is absent; the reader already polls ctx per chunk
+		for {
+			c, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			next++
+			if writeErr == nil {
+				for _, s := range c.spans {
+					if writeErr = emit(s); writeErr != nil {
+						break
+					}
+				}
+			}
+			recycle <- c // cap(recycle) == poolSize: never blocks
+		}
+	}
+
+	if readErr != nil {
+		psp.SetError(readErr.Error())
+		psp.End()
+		return nil, readErr
+	}
+	if writeErr != nil {
+		psp.SetError(writeErr.Error())
+		psp.End()
+		return nil, writeErr
+	}
+	stats := rp.statsFromAccs(accs, rowsRead)
+	psp.SetAttr(
+		trace.Int("rows", stats.Rows),
+		trace.Int("repaired", stats.Repaired),
+		trace.Int("steps", stats.Steps),
+		trace.Int("oov", stats.OOV),
+	)
+	psp.End()
+	return stats, nil
+}
+
+// streamChunksSeq is the single-threaded pipeline: no goroutines, no
+// channels — read, repair, render, emit.
+func streamChunksSeq[C, S any](ctx context.Context, rp *Repairer, opts ParallelOptions,
+	read func(*C) (int, error), emit func([]byte) error,
+	newState func() S, release func(S),
+	process func(S, *chunkUnit[C], *streamAccData),
+) (*StreamStats, error) {
+	accs := make([]streamAcc, 1)
+	acc := &accs[0].streamAccData
+	acc.perRule = make([]int32, len(rp.rules))
+	acc.oovBy = make([]int64, rp.c.arity)
+	ws := newState()
+	defer release(ws)
+	var u chunkUnit[C]
+	rowBase := 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("repair: stream cancelled at row %d: %w", rowBase, err)
+		}
+		n, err := read(&u.chunk)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("repair: stream row %d: %w", rowBase+1, err)
+		}
+		u.rowBase = rowBase
+		rowBase += n
+		process(ws, &u, acc)
+		for _, s := range u.spans {
+			if err := emit(s); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rp.statsFromAccs(accs, rowBase), nil
 }
 
 // streamSpan opens a child span under the context's active span (nil — and
 // free — when the request is untraced or unsampled) and returns the
 // closer that stamps outcome attributes.
-func streamSpan(ctx context.Context, name string) (*trace.Span, func(stats *StreamStats, err error)) {
+func streamSpan(ctx context.Context, name string) func(stats *StreamStats, err error) {
 	sp := trace.SpanFromContext(ctx).StartChild(name)
-	return sp, func(stats *StreamStats, err error) {
+	return func(stats *StreamStats, err error) {
 		if err != nil {
 			sp.SetError(err.Error())
 		} else if stats != nil {
@@ -152,124 +345,70 @@ func streamSpan(ctx context.Context, name string) (*trace.Span, func(stats *Stre
 	}
 }
 
-// StreamCSVTraced is StreamCSVContext with an optional chase recorder (nil
-// is free); it also emits a child span when ctx carries a sampled trace
-// span.
-func (rp *Repairer) StreamCSVTraced(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm, chase *ChaseRecorder) (stats *StreamStats, err error) {
-	_, end := streamSpan(ctx, "repair.stream.csv")
+// StreamCSV repairs a CSV stream: it reads rows from r (an optional UTF-8
+// BOM is skipped, and the header must match the repairer's schema),
+// repairs each with the chosen algorithm, and writes the repaired rows
+// (with header) to w, byte for byte as encoding/csv would render them.
+// Memory use is constant in the input size, which suits the
+// data-monitoring deployment the paper contrasts with editing rules:
+// fixing rules repair a stream of incoming tuples with no user in the
+// loop.
+//
+// Rows flow through the raw chunk pipeline (rawcsv.go) in chunks of
+// opts.ChunkRows (default 512). When ctx is cancelled or its deadline
+// passes, the stream stops between chunks and the cause is returned
+// (errors.Is-compatible with context.DeadlineExceeded/Canceled). The output
+// and the StreamStats are identical at any worker count.
+func (rp *Repairer) StreamCSV(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm, opts ParallelOptions) (stats *StreamStats, err error) {
+	end := streamSpan(ctx, "repair.stream.csv")
 	defer func() { end(stats, err) }()
-	cr, header, err := rp.openCSVStream(r)
+	opts = opts.withDefaults(defaultStreamChunkRows)
+	cr, header, err := rp.openChunkCSV(r)
 	if err != nil {
 		return nil, err
 	}
-	// Each record is fully consumed — repaired in place and written — before
-	// the next Read, so the reader can safely reuse its record slice and the
-	// loop allocates only the per-record field backing.
-	cr.ReuseRecord = true
-	// The outer sized buffer batches writes to w well beyond csv.Writer's
-	// small internal buffer — on file and socket sinks the syscall count,
-	// not the formatting, dominates the write side.
 	bw := bufio.NewWriterSize(w, streamWriteBufSize)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write(header); err != nil {
+	var hb []byte
+	for i, a := range header {
+		if i > 0 {
+			hb = append(hb, ',')
+		}
+		hb = store.AppendCSVValue(hb, a)
+	}
+	hb = append(hb, '\n')
+	if _, err := bw.Write(hb); err != nil {
 		return nil, err
 	}
-
-	stats = rp.newStreamStats()
-	sc := rp.getScratch()
-	defer rp.putScratch(sc)
-	for {
-		if stats.Rows&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("repair: stream cancelled at row %d: %w", stats.Rows, err)
-			}
-		}
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("repair: stream row %d: %w", stats.Rows+1, err)
-		}
-		rp.repairInPlace(schema.Tuple(rec), alg, sc, stats, chase)
-		if err := cw.Write(rec); err != nil {
-			return nil, err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
+	read := func(c *store.RawChunk) (int, error) { return cr.ReadRawChunk(c, opts.ChunkRows) }
+	emit := func(b []byte) error { _, err := bw.Write(b); return err }
+	stats, err = streamChunks(ctx, rp, opts, read, emit,
+		func() *rawScratch { return &rawScratch{sc: rp.getScratch()} },
+		func(rs *rawScratch) { rp.putScratch(rs.sc) },
+		func(rs *rawScratch, u *rawUnit, acc *streamAccData) {
+			rp.repairRawChunk(&u.chunk, rs, alg, acc, opts.Recorder, u.rowBase)
+			rp.buildSpans(u, rs.reps)
+		})
+	if err != nil {
 		return nil, err
 	}
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
-	rp.finishStreamStats(stats)
 	return stats, nil
 }
 
-// StreamFrel is StreamCSV for the frel binary format (internal/store):
-// rows are scanned from r, repaired, and written to w, in constant memory.
-// The stream's schema must match the repairer's.
-func (rp *Repairer) StreamFrel(r io.Reader, w io.Writer, alg Algorithm) (*StreamStats, error) {
-	return rp.StreamFrelContext(context.Background(), r, w, alg)
-}
-
-// openFrelStream validates an frel stream's schema against the repairer's
-// and opens the matching writer; shared by the sequential and parallel
-// frel streams.
-func (rp *Repairer) openFrelStream(r io.Reader, w io.Writer) (*store.Scanner, *store.Writer, error) {
-	sc, err := store.NewScanner(r)
+// openChunkCSV opens a chunked CSV reader over r and validates the header
+// against the repairer's schema.
+func (rp *Repairer) openChunkCSV(r io.Reader) (*store.CSVChunkReader, []string, error) {
+	sch := rp.rs.Schema()
+	cr, header, err := store.NewCSVChunkReader(r, sch.Arity())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("repair: stream header: %w", err)
 	}
-	if !sc.Schema().Equal(rp.rs.Schema()) {
-		return nil, nil, fmt.Errorf("repair: frel schema %s does not match rule schema %s",
-			sc.Schema(), rp.rs.Schema())
-	}
-	sw, err := store.NewWriter(w, sc.Schema())
-	if err != nil {
-		return nil, nil, err
-	}
-	return sc, sw, nil
-}
-
-// StreamFrelContext is StreamFrel bounded by a context, polled every
-// ctxCheckMask+1 rows exactly like StreamCSVContext — server deadlines
-// protect binary uploads the same way they protect CSV ones.
-func (rp *Repairer) StreamFrelContext(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm) (*StreamStats, error) {
-	return rp.StreamFrelTraced(ctx, r, w, alg, nil)
-}
-
-// StreamFrelTraced is StreamFrelContext with an optional chase recorder
-// and a child span when ctx carries a sampled trace span.
-func (rp *Repairer) StreamFrelTraced(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm, chase *ChaseRecorder) (stats *StreamStats, err error) {
-	_, end := streamSpan(ctx, "repair.stream.frel")
-	defer func() { end(stats, err) }()
-	sc, sw, err := rp.openFrelStream(r, w)
-	if err != nil {
-		return nil, err
-	}
-	stats = rp.newStreamStats()
-	scr := rp.getScratch()
-	defer rp.putScratch(scr)
-	for sc.Next() {
-		if stats.Rows&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("repair: stream cancelled at row %d: %w", stats.Rows, err)
-			}
-		}
-		tup := sc.Tuple()
-		rp.repairInPlace(tup, alg, scr, stats, chase)
-		if err := sw.Append(tup); err != nil {
-			return nil, err
+	for i, a := range sch.Attrs() {
+		if header[i] != a {
+			return nil, nil, fmt.Errorf("repair: stream header field %d is %q, want %q", i, header[i], a)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := sw.Close(); err != nil {
-		return nil, err
-	}
-	rp.finishStreamStats(stats)
-	return stats, nil
+	return cr, header, nil
 }

@@ -52,9 +52,27 @@ func post(s *Server, path string, body []byte) *httptest.ResponseRecorder {
 	return rec
 }
 
-// FuzzHandleRepairCSV hardens the CSV repair surface: malformed quoting,
-// wrong arity, huge fields and invalid UTF-8 must answer 2xx/4xx — never
-// panic, never 5xx.
+// referenceCSV is the repair /repair/csv must reproduce: body (UTF-8 BOM
+// stripped) parsed by encoding/csv, repaired by RepairRelation, rendered
+// back by encoding/csv. An error means the reference rejects the body.
+func referenceCSV(rep *repair.Repairer, body []byte, alg repair.Algorithm) ([]byte, error) {
+	rel, err := schema.ReadCSV(bytes.NewReader(bytes.TrimPrefix(body, []byte("\xEF\xBB\xBF"))), rep.Ruleset().Schema())
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := schema.WriteCSV(&out, rep.RepairRelation(rel, alg).Relation); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// FuzzHandleRepairCSV differentially checks the CSV repair surface against
+// the reference repair on arbitrary bytes: where the reference accepts, the
+// handler answers 200 with exactly its bytes; where it rejects, the
+// handler answers 4xx — or, once output was flushed, a 200 whose body ends
+// in the error envelope; bodies over the cap answer 413, or end a flushed
+// 200 in the body_too_large envelope. Never a panic, never a 5xx.
 func FuzzHandleRepairCSV(f *testing.F) {
 	if data, err := os.ReadFile("../../testdata/travel.csv"); err == nil {
 		f.Add(data)
@@ -67,12 +85,51 @@ func FuzzHandleRepairCSV(f *testing.F) {
 	f.Add([]byte("name,country,capital,city,conf\n\xff\xfe,\x80,b,c,d\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("\x00"))
+	f.Add([]byte("name,country,capital,city,conf\r\nIan,China,Shanghai,Hongkong,ICDE\r\n"))                                // CRLF
+	f.Add([]byte("name,country,capital,city,conf\n\"Ian\nLee\",China,Shanghai,Hongkong,ICDE\n"))                           // quoted multi-line field
+	f.Add([]byte("\xEF\xBB\xBFname,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n"))                        // BOM
+	f.Add([]byte("name,country,capital,city,conf\nIa\"n,China,Shanghai,Hongkong,ICDE\n"))                                  // bare quote
+	f.Add([]byte("name,country,capital,city,conf\n" + strings.Repeat("Ian,China,Shanghai,Hongkong,ICDE\n", 9000) + "x\n")) // error after a flush
+	f.Add([]byte("name,country,capital,city,conf\n" + strings.Repeat("Ian,China,Shanghai,Hongkong,ICDE\n", 32000)))        // over the 1 MiB cap
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec := post(fuzzServer(), "/repair/csv", data)
-		if rec.Code >= 500 {
-			t.Fatalf("status %d for input %q", rec.Code, data)
+		s := fuzzServer()
+		rec := post(s, "/repair/csv", data)
+		body := rec.Body.Bytes()
+		if int64(len(data)) > s.cfg.MaxBodyBytes {
+			if rec.Code != http.StatusRequestEntityTooLarge &&
+				!(rec.Code == http.StatusOK && envelopeCode(body) == codeBodyTooLarge) {
+				t.Fatalf("over-cap body (%d bytes): status %d, want 413 or a flushed 200 ending in %s",
+					len(data), rec.Code, codeBodyTooLarge)
+			}
+			return
+		}
+		want, refErr := referenceCSV(s.eng.Load().rep, data, repair.Linear)
+		switch {
+		case refErr == nil:
+			if rec.Code != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("reference accepts %q: status %d, body %q, want 200 %q", data, rec.Code, body, want)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+		case rec.Code == http.StatusOK && envelopeCode(body) != "":
+		default:
+			t.Fatalf("reference rejects %q (%v): status %d, body %q", data, refErr, rec.Code, body)
 		}
 	})
+}
+
+// envelopeCode returns the code of the error envelope a body ends in, as
+// streamError appends it after output was already flushed — possibly in
+// the middle of a CSV line, wherever the flushed bytes stopped — or "".
+func envelopeCode(body []byte) string {
+	i := bytes.LastIndex(body, []byte(`{"error":`))
+	if i < 0 {
+		return ""
+	}
+	var env errorEnvelope
+	if json.Unmarshal(body[i:], &env) != nil {
+		return ""
+	}
+	return env.Error.Code
 }
 
 // FuzzHandleRepairJSON hardens the JSON repair surface the same way, and

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -55,7 +56,7 @@ func TestMetricsMatchGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	var direct strings.Builder
-	want, err := rep.StreamCSV(strings.NewReader(input), &direct, repair.Linear)
+	want, err := rep.StreamCSV(context.Background(), strings.NewReader(input), &direct, repair.Linear, repair.ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

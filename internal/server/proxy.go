@@ -323,6 +323,14 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 		}
 		body = http.MaxBytesReader(sw, r.Body, p.cfg.MaxBodyBytes)
 	}
+	// The worker answers a stream while the client is still uploading it,
+	// and the proxy relays that answer as it comes. Without full duplex,
+	// Go's HTTP/1 server drains up to 256 KiB of the unread request body
+	// when the proxy writes its response headers, so a client that waits
+	// for those headers before sending the rest of its upload deadlocks.
+	// Recorders and HTTP/2 may not support the control; both already
+	// allow concurrent read/write.
+	_ = http.NewResponseController(sw).EnableFullDuplex()
 	// Bound the forward without bounding stream bodies. Non-streaming
 	// endpoints get an end-to-end deadline; the CSV stream endpoint gets a
 	// timer covering only connect + response headers, stopped the moment

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -525,5 +527,94 @@ func TestProxyMidStreamWorkerDeath(t *testing.T) {
 	}
 	if env.Error.RequestID != reqID || env.Error.TraceID == "" {
 		t.Errorf("trailing envelope IDs = %+v, header reqID %q", env.Error, reqID)
+	}
+}
+
+// TestProxyTwoPhaseUpload: a client that waits for the response headers
+// before sending the rest of its upload gets every row back, both direct
+// to a worker and through the proxy. Phase one is sized so the repaired
+// output passes the stream's 256 KiB write buffer after whole 512-row
+// chunks, so headers go out while the upload is unfinished; a proxy
+// without full duplex then drains the unread body itself and never sends
+// them. Rows are hosp-width (~140 bytes): travel-width rows would not fill
+// the buffer.
+func TestProxyTwoPhaseUpload(t *testing.T) {
+	fx := newProxyFixture(t, 0)
+	const phase1, phase2 = 4000, 1500
+	pad := strings.Repeat("x", 100)
+	rows := func(w io.Writer, from, to int) error {
+		for i := from; i < to; i++ {
+			if _, err := fmt.Fprintf(w, "%s-%05d,China,Shanghai,Hongkong,ICDE\n", pad, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct{ name, base string }{
+		{"worker", fx.workerFor("acme").URL},
+		{"proxy", fx.front.URL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, tc.base+"/t/acme/repair/csv", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "text/csv")
+			sent := make(chan error, 1)
+			go func() {
+				if _, err := io.WriteString(pw, "name,country,capital,city,conf\n"); err != nil {
+					sent <- err
+					return
+				}
+				sent <- rows(pw, 0, phase1)
+			}()
+			type answer struct {
+				resp *http.Response
+				err  error
+			}
+			answered := make(chan answer, 1)
+			go func() {
+				resp, err := http.DefaultClient.Do(req)
+				answered <- answer{resp, err}
+			}()
+			deadline := time.NewTimer(10 * time.Second)
+			defer deadline.Stop()
+			var resp *http.Response
+			select {
+			case a := <-answered:
+				if a.err != nil {
+					t.Fatal(a.err)
+				}
+				resp = a.resp
+			case <-deadline.C:
+				pw.CloseWithError(errors.New("abandoned"))
+				t.Fatal("no response headers within 10s while the upload waits for them")
+			}
+			defer resp.Body.Close()
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				pw.CloseWithError(rows(pw, phase1, phase1+phase2))
+			}()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %.200s", resp.StatusCode, body)
+			}
+			lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+			if len(lines) != 1+phase1+phase2 {
+				t.Fatalf("got %d lines, want %d", len(lines), 1+phase1+phase2)
+			}
+			if want := fmt.Sprintf("%s-%05d,China,Beijing,Hongkong,ICDE", pad, phase1+phase2-1); lines[len(lines)-1] != want {
+				t.Errorf("last row = %q, want %q", lines[len(lines)-1], want)
+			}
+		})
 	}
 }

@@ -194,10 +194,10 @@ func TestRepairCSVEndpoint(t *testing.T) {
 }
 
 // TestRepairCSVColumnarNegotiation exercises the /repair/csv content
-// negotiation: the columnar batch engine for CSV-to-CSV must be
-// byte-identical to the row engine, an Accept of application/x-fcol must
-// switch the response to columnar frames, a columnar body must round-trip,
-// and the rejection paths must carry their status codes.
+// negotiation: CSV-to-CSV must equal the reference repair byte for byte,
+// an Accept of application/x-fcol must switch the response to fcol frames,
+// an fcol body must round-trip, and the rejection path must carry its
+// status code.
 func TestRepairCSVColumnarNegotiation(t *testing.T) {
 	srv := testServer(t)
 	csvIn := "name,country,capital,city,conf\n" +
@@ -225,20 +225,27 @@ func TestRepairCSVColumnarNegotiation(t *testing.T) {
 		return resp, data
 	}
 
-	// CSV in, CSV out: batch engine must match the row engine byte for byte.
-	rowResp, rowBody := post("/repair/csv", "text/csv", "", csvIn)
-	colResp, colBody := post("/repair/csv?engine=columnar", "text/csv", "", csvIn)
-	if rowResp.StatusCode != http.StatusOK || colResp.StatusCode != http.StatusOK {
-		t.Fatalf("status row=%d columnar=%d", rowResp.StatusCode, colResp.StatusCode)
+	// CSV in, CSV out: the reference repair, byte for byte.
+	resp, csvBody := post("/repair/csv", "text/csv", "", csvIn)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("csv status = %d: %s", resp.StatusCode, csvBody)
 	}
-	if string(rowBody) != string(colBody) {
-		t.Errorf("columnar engine output differs:\nrow:\n%scolumnar:\n%s", rowBody, colBody)
+	rep, err := repair.NewRepairerChecked(srv.Config.Handler.(*Server).Ruleset())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(colBody), "Ian,China,Beijing,Shanghai,ICDE") {
-		t.Errorf("columnar body lacks repaired row:\n%s", colBody)
+	want, err := referenceCSV(rep, []byte(csvIn), repair.Linear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(csvBody) != string(want) {
+		t.Errorf("CSV output differs from the reference:\ngot:\n%swant:\n%s", csvBody, want)
+	}
+	if !strings.Contains(string(csvBody), "Ian,China,Beijing,Shanghai,ICDE") {
+		t.Errorf("CSV body lacks repaired row:\n%s", csvBody)
 	}
 
-	// CSV in, columnar out.
+	// CSV in, fcol out.
 	resp, fcolBody := post("/repair/csv", "text/csv", store.ColumnarContentType, csvIn)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("csv-to-fcol status = %d: %s", resp.StatusCode, fcolBody)
@@ -258,7 +265,7 @@ func TestRepairCSVColumnarNegotiation(t *testing.T) {
 		t.Errorf("fcol capital = %q, want Beijing", got)
 	}
 
-	// Columnar in, columnar out: feed the converted frames back.
+	// fcol in, fcol out: feed the converted frames back.
 	resp, rtBody := post("/repair/csv", store.ColumnarContentType, store.ColumnarContentType, string(fcolBody))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fcol round-trip status = %d: %s", resp.StatusCode, rtBody)
@@ -276,17 +283,12 @@ func TestRepairCSVColumnarNegotiation(t *testing.T) {
 		t.Errorf("round-trip capital = %q, want Beijing", got)
 	}
 
-	// A columnar body with a CSV-only Accept cannot be served.
+	// An fcol body with a CSV-only Accept cannot be served.
 	resp, _ = post("/repair/csv", store.ColumnarContentType, "text/csv", string(fcolBody))
 	if resp.StatusCode != http.StatusNotAcceptable {
 		t.Errorf("fcol-to-csv status = %d, want 406", resp.StatusCode)
 	}
 
-	// Unknown engine parameter.
-	resp, _ = post("/repair/csv?engine=quantum", "text/csv", "", csvIn)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad engine status = %d, want 400", resp.StatusCode)
-	}
 }
 
 // TestRepairCSVEndpointParallel configures the handler with a parallel

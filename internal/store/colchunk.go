@@ -1,9 +1,9 @@
-// Columnar chunk format ("fcol"): the batch counterpart of frel. Rows are
-// grouped into chunks; each chunk stores, per attribute, a local dictionary
-// of distinct values plus one small integer per row indexing into it. The
-// repair engine translates each local dictionary to Σ codes once per chunk
-// instead of hashing every cell, which is what closes the gap between the
-// streaming and the in-memory engines.
+// Columnar chunk format ("fcol"), the repairing pipeline's binary relation
+// format. Rows are grouped into chunks; each chunk stores, per attribute, a
+// local dictionary of distinct values plus one small integer per row
+// indexing into it. The repair engine translates each local dictionary to
+// Σ codes once per chunk instead of hashing every cell, which is what
+// closes the gap between the streaming and the in-memory engines.
 //
 // Layout (all integers are unsigned varints):
 //
@@ -13,9 +13,10 @@
 //	        dict length, dict strings..., one code per row (< dict length)
 //	end     tag 0x00, crc32 (IEEE, 4 bytes big-endian) of everything before
 //
-// The framing — varint strings, tag bytes, trailing checksum — matches the
-// frel Writer/Scanner, so the two formats share reader plumbing and the
-// same truncation/corruption guarantees.
+// The tag byte makes the chunk stream self-terminating, so writers need
+// not know the row count in advance; the trailing checksum detects
+// truncation and corruption.
+
 package store
 
 import (
@@ -25,6 +26,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"os"
 
 	"fixrule/internal/schema"
 )
@@ -449,4 +451,27 @@ func ReadColumnar(r io.Reader) (*schema.Relation, error) {
 			rel.Append(t)
 		}
 	}
+}
+
+// Save writes a relation to the named file in fcol form.
+func Save(path string, rel *schema.Relation) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteColumnar(f, rel, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// Load reads a whole fcol file into memory.
+func Load(path string) (*schema.Relation, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadColumnar(f)
 }

@@ -69,20 +69,66 @@ func TestColumnarRewriteByteIdentical(t *testing.T) {
 	}
 }
 
+// scanColumnar reads an fcol stream chunk by chunk, as the repair stream
+// does, and returns the first error; a clean end of stream returns nil.
+// The error must also stick: the next ReadChunk and Err report it again.
+func scanColumnar(t *testing.T, data []byte) error {
+	t.Helper()
+	sc, err := NewChunkScanner(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	var c ColChunk
+	for {
+		_, err := sc.ReadChunk(&c)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			if _, again := sc.ReadChunk(&c); again != err || sc.Err() != err {
+				t.Errorf("error not sticky: %v, then %v, Err %v", err, again, sc.Err())
+			}
+			return err
+		}
+	}
+}
+
+// TestColumnarDetectsCorruption: on a multi-chunk stream the chunk scanner
+// reports a flipped byte or a cut in any chunk. A flip inside a dictionary
+// value leaves every chunk decodable, so only the trailing checksum, which
+// covers them all, can catch it.
 func TestColumnarDetectsCorruption(t *testing.T) {
-	rel := sampleRelation()
 	var buf bytes.Buffer
-	if err := WriteColumnar(&buf, rel, 0); err != nil {
+	if err := WriteColumnar(&buf, randomRelation(t, 500), 64); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	data[len(data)-6] ^= 0x40 // flip a bit before the checksum
-	if _, err := ReadColumnar(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupted stream read without error")
+	good := buf.Bytes()
+	if err := scanColumnar(t, good); err != nil {
+		t.Fatalf("intact stream: %v", err)
 	}
-	truncated := data[:len(data)-3]
-	if _, err := ReadColumnar(bytes.NewReader(truncated)); err == nil {
-		t.Fatal("truncated stream read without error")
+	var inValue []int // a byte inside each dictionary copy of one value
+	for off := 0; ; {
+		i := bytes.Index(good[off:], []byte("comma,inside"))
+		if i < 0 {
+			break
+		}
+		inValue = append(inValue, off+i+2)
+		off += i + 1
+	}
+	if len(inValue) < 3 {
+		t.Fatalf("value found in %d chunk dictionaries, want several", len(inValue))
+	}
+	for _, pos := range []int{inValue[1], inValue[len(inValue)-1], len(good) / 2} {
+		bad := append([]byte(nil), good...)
+		bad[pos] ^= 0x40
+		if scanColumnar(t, bad) == nil {
+			t.Errorf("corruption at byte %d of %d not detected", pos, len(good))
+		}
+	}
+	for _, cut := range []int{len(good) / 3, 2 * len(good) / 3, len(good) - 4} {
+		if scanColumnar(t, good[:cut]) == nil {
+			t.Errorf("truncation at %d of %d not detected", cut, len(good))
+		}
 	}
 }
 

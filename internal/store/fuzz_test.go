@@ -10,42 +10,10 @@ import (
 	"fixrule/internal/schema"
 )
 
-// FuzzRead hardens the binary reader: arbitrary bytes must either decode
-// into a relation that re-encodes losslessly, or fail with an error —
-// never panic, never hang, never allocate unbounded memory.
-func FuzzRead(f *testing.F) {
-	var good bytes.Buffer
-	if err := Write(&good, sampleRelation()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add([]byte(magic))
-	f.Add([]byte("FRELv1\n\x02R\x01a\x01"))
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rel, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := Write(&out, rel); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		rel2, err := Read(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if rel2.Len() != rel.Len() || len(schema.Diff(rel, rel2)) != 0 {
-			t.Fatal("binary round trip changed data")
-		}
-	})
-}
-
-// FuzzReadColumnar hardens the fcol chunk decoder the same way FuzzRead
-// hardens the frel row decoder: arbitrary bytes must either decode into a
-// relation that re-encodes losslessly, or fail — never panic, never hang,
-// never allocate unbounded memory.
+// FuzzReadColumnar hardens the fcol chunk decoder, which clients reach
+// through application/x-fcol bodies: arbitrary bytes must either decode
+// into a relation that re-encodes losslessly, or fail — never panic, never
+// hang, never allocate unbounded memory.
 func FuzzReadColumnar(f *testing.F) {
 	var good bytes.Buffer
 	if err := WriteColumnar(&good, sampleRelation(), 2); err != nil {

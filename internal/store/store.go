@@ -1,17 +1,8 @@
-// Package store implements a compact binary on-disk format for relations
-// ("frel"), with streaming writers and scanners so the repairing pipeline
-// can process relations much larger than memory row by row.
-//
-// Layout (all integers are unsigned varints):
-//
-//	magic   "FRELv1\n"
-//	schema  name, attr count, attrs...   (each string: length + bytes)
-//	rows    repeated: tag 0x01, then one length-prefixed string per attribute
-//	end     tag 0x00, crc32 (IEEE, 4 bytes big-endian) of everything before it
-//
-// The trailing checksum detects truncation and corruption; the tag byte
-// makes the row stream self-terminating, so writers need not know the row
-// count in advance.
+// Package store holds the repairing pipeline's bulk I/O: the chunked CSV
+// reader (csvchunk.go, rawchunk.go) and fcol, a checksummed binary
+// column-chunk format (colchunk.go, docs/FORMAT.md). This file has the
+// framing pieces fcol's writer and scanner build on: the schema section and
+// the checksum-feeding reader.
 package store
 
 import (
@@ -19,56 +10,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"io"
-	"os"
 
 	"fixrule/internal/schema"
 )
 
-const magic = "FRELv1\n"
-
 // maxValueLen guards scanners against corrupt length prefixes.
 const maxValueLen = 1 << 24
 
-// storeBufSize sizes the buffered readers and writers of both formats:
-// large enough to batch syscalls on bulk streams, small enough that a
-// server holding a few dozen concurrent streams stays cheap.
+// storeBufSize sizes fcol's buffered readers and writers: large enough to
+// batch syscalls on bulk streams, small enough that a server holding a few
+// dozen concurrent streams stays cheap.
 const storeBufSize = 1 << 16
 
-const (
-	tagRow = 0x01
-	tagEnd = 0x00
-)
+// tagEnd closes a stream; the checksum follows it.
+const tagEnd = 0x00
 
-// Writer streams a relation to an io.Writer. Append rows, then Close to
-// write the end marker and checksum. A Writer is not safe for concurrent
-// use.
-type Writer struct {
-	w      *bufio.Writer
-	crc    hash.Hash32
-	sch    *schema.Schema
-	rows   int
-	closed bool
-	err    error
-}
-
-// NewWriter writes the header for sch and returns a row writer.
-func NewWriter(w io.Writer, sch *schema.Schema) (*Writer, error) {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), storeBufSize)
-	out := &Writer{w: bw, crc: crc, sch: sch}
-	if _, err := bw.WriteString(magic); err != nil {
-		return nil, err
-	}
-	if err := writeHeaderBody(bw, sch); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// writeHeaderBody writes the schema section both formats share: name,
-// arity, attribute names.
+// writeHeaderBody writes the schema section: name, arity, attribute names.
 func writeHeaderBody(bw *bufio.Writer, sch *schema.Schema) error {
 	writeLString := func(s string) error {
 		var buf [binary.MaxVarintLen64]byte
@@ -93,71 +51,6 @@ func writeHeaderBody(bw *bufio.Writer, sch *schema.Schema) error {
 		}
 	}
 	return nil
-}
-
-func (w *Writer) writeUvarint(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, w.err = w.w.Write(buf[:n])
-}
-
-func (w *Writer) writeString(s string) {
-	w.writeUvarint(uint64(len(s)))
-	if w.err == nil {
-		_, w.err = w.w.WriteString(s)
-	}
-}
-
-// Append writes one row; the tuple must match the schema arity.
-func (w *Writer) Append(t schema.Tuple) error {
-	if w.closed {
-		return fmt.Errorf("store: Append after Close")
-	}
-	if len(t) != w.sch.Arity() {
-		return fmt.Errorf("store: row arity %d != schema arity %d", len(t), w.sch.Arity())
-	}
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.w.WriteByte(tagRow)
-	for _, v := range t {
-		w.writeString(v)
-	}
-	if w.err == nil {
-		w.rows++
-	}
-	return w.err
-}
-
-// Rows returns the number of rows appended so far.
-func (w *Writer) Rows() int { return w.rows }
-
-// Close writes the end marker and checksum and flushes. The underlying
-// writer is not closed.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.w.WriteByte(tagEnd); err != nil {
-		return err
-	}
-	// Flush so the CRC covers everything up to (and including) the end tag.
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], w.crc.Sum32())
-	if _, err := w.w.Write(sum[:]); err != nil {
-		return err
-	}
-	return w.w.Flush()
 }
 
 // crcReader feeds the checksum with exactly the bytes handed to the
@@ -186,36 +79,8 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Scanner streams rows from an frel stream.
-type Scanner struct {
-	r    *crcReader
-	crc  hash.Hash32
-	sch  *schema.Schema
-	cur  schema.Tuple
-	err  error
-	done bool
-}
-
-// NewScanner reads and validates the header, returning a row scanner.
-func NewScanner(r io.Reader) (*Scanner, error) {
-	crc := crc32.NewIEEE()
-	br := &crcReader{br: bufio.NewReaderSize(r, storeBufSize), crc: crc}
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("store: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("store: bad magic %q", head)
-	}
-	sch, err := readHeaderBody(br)
-	if err != nil {
-		return nil, err
-	}
-	return &Scanner{r: br, crc: crc, sch: sch}, nil
-}
-
-// readHeaderBody reads and validates the schema section both formats
-// share: name, arity, attribute names.
+// readHeaderBody reads and validates the schema section: name, arity,
+// attribute names.
 func readHeaderBody(br *crcReader) (*schema.Schema, error) {
 	name, err := readLString(br)
 	if err != nil {
@@ -263,110 +128,4 @@ func readLString(r *crcReader) (string, error) {
 		return "", err
 	}
 	return string(buf), nil
-}
-
-func (s *Scanner) readString() (string, error) { return readLString(s.r) }
-
-// Schema returns the stream's schema.
-func (s *Scanner) Schema() *schema.Schema { return s.sch }
-
-// Next advances to the next row, returning false at end of stream or on
-// error (check Err).
-func (s *Scanner) Next() bool {
-	if s.done || s.err != nil {
-		return false
-	}
-	tag, err := s.r.ReadByte()
-	if err != nil {
-		s.err = fmt.Errorf("store: row tag: %w", err)
-		return false
-	}
-	switch tag {
-	case tagRow:
-		row := make(schema.Tuple, s.sch.Arity())
-		for i := range row {
-			if row[i], err = s.readString(); err != nil {
-				s.err = fmt.Errorf("store: row value: %w", err)
-				return false
-			}
-		}
-		s.cur = row
-		return true
-	case tagEnd:
-		s.done = true
-		// The CRC covers everything up to and including the end tag; read
-		// the trailer from the raw reader so it stays out of the hash.
-		want := s.crc.Sum32()
-		var sum [4]byte
-		if _, err := io.ReadFull(s.r.br, sum[:]); err != nil {
-			s.err = fmt.Errorf("store: checksum: %w", err)
-			return false
-		}
-		if got := binary.BigEndian.Uint32(sum[:]); got != want {
-			s.err = fmt.Errorf("store: checksum mismatch: file %08x, computed %08x", got, want)
-		}
-		return false
-	default:
-		s.err = fmt.Errorf("store: unknown tag 0x%02x", tag)
-		return false
-	}
-}
-
-// Tuple returns the current row; valid until the next call to Next.
-func (s *Scanner) Tuple() schema.Tuple { return s.cur }
-
-// Err returns the first error encountered (nil on clean end of stream).
-func (s *Scanner) Err() error { return s.err }
-
-// Write streams an in-memory relation to w.
-func Write(w io.Writer, rel *schema.Relation) error {
-	sw, err := NewWriter(w, rel.Schema())
-	if err != nil {
-		return err
-	}
-	for _, t := range rel.Rows() {
-		if err := sw.Append(t); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-// Read loads a whole frel stream into memory.
-func Read(r io.Reader) (*schema.Relation, error) {
-	s, err := NewScanner(r)
-	if err != nil {
-		return nil, err
-	}
-	rel := schema.NewRelation(s.Schema())
-	for s.Next() {
-		rel.Append(s.Tuple())
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
-// Save writes a relation to the named file.
-func Save(path string, rel *schema.Relation) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, rel); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a relation from the named file.
-func Load(path string) (*schema.Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

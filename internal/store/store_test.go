@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -20,24 +21,6 @@ func sampleRelation() *schema.Relation {
 	return rel
 }
 
-func TestRoundTrip(t *testing.T) {
-	rel := sampleRelation()
-	var buf bytes.Buffer
-	if err := Write(&buf, rel); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Schema().Equal(rel.Schema()) {
-		t.Errorf("schema = %s", got.Schema())
-	}
-	if got.Len() != rel.Len() || len(schema.Diff(rel, got)) != 0 {
-		t.Errorf("rows differ: %v", got.Rows())
-	}
-}
-
 func TestRoundTripLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sch := schema.New("R", "a", "b", "c")
@@ -52,59 +35,80 @@ func TestRoundTripLargeRandom(t *testing.T) {
 		}
 		rel.Append(row)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, rel); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(schema.Diff(rel, got)) != 0 {
-		t.Fatal("random round trip differs")
+	// 700-row chunks leave a short last chunk; 0 selects the default.
+	for _, chunkRows := range []int{700, 0} {
+		var buf bytes.Buffer
+		if err := WriteColumnar(&buf, rel, chunkRows); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadColumnar(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != rel.Len() || len(schema.Diff(rel, got)) != 0 {
+			t.Fatalf("chunk=%d: random round trip differs", chunkRows)
+		}
 	}
 }
 
 func TestScannerStreaming(t *testing.T) {
 	rel := sampleRelation()
 	var buf bytes.Buffer
-	if err := Write(&buf, rel); err != nil {
+	if err := WriteColumnar(&buf, rel, 2); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScanner(&buf)
+	s, err := NewChunkScanner(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var c ColChunk
 	n := 0
-	for s.Next() {
-		if !s.Tuple().Equal(rel.Row(n)) {
-			t.Errorf("row %d = %v", n, s.Tuple())
+	for {
+		rows, err := s.ReadChunk(&c)
+		if err == io.EOF {
+			break
 		}
-		n++
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			for a := 0; a < rel.Schema().Arity(); a++ {
+				if got := c.Value(i, a); got != rel.Row(n)[a] {
+					t.Errorf("row %d attr %d = %q", n, a, got)
+				}
+			}
+			n++
+		}
 	}
 	if s.Err() != nil || n != rel.Len() {
 		t.Errorf("n=%d err=%v", n, s.Err())
 	}
-	// Next after end stays false.
-	if s.Next() {
-		t.Error("Next after end returned true")
+	// ReadChunk after the end stays at EOF.
+	if _, err := s.ReadChunk(&c); err != io.EOF {
+		t.Errorf("ReadChunk after end: err = %v, want io.EOF", err)
 	}
 }
 
 func TestWriterValidation(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, schema.New("R", "a", "b"))
+	w, err := NewChunkWriter(&buf, schema.New("R", "a", "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(schema.Tuple{"only-one"}); err == nil {
-		t.Error("arity mismatch accepted")
+	one := ColChunk{Cols: []Column{{Dict: []string{"x"}, Codes: []int32{0}}}, Rows: 1}
+	if err := w.WriteChunk(&one); err == nil {
+		t.Error("column count mismatch accepted")
 	}
-	if err := w.Append(schema.Tuple{"1", "2"}); err != nil {
+	short := ColChunk{Cols: []Column{{Dict: []string{"x"}, Codes: []int32{0}}, {Dict: []string{"y"}}}, Rows: 1}
+	if err := w.WriteChunk(&short); err == nil {
+		t.Error("column without a code per row accepted")
+	}
+	if err := w.WriteChunk(&ColChunk{}); err != nil {
+		t.Errorf("empty chunk: %v", err)
+	}
+	good := ColChunk{Cols: []Column{{Dict: []string{"1"}, Codes: []int32{0}}, {Dict: []string{"2"}, Codes: []int32{0}}}, Rows: 1}
+	if err := w.WriteChunk(&good); err != nil {
 		t.Fatal(err)
-	}
-	if w.Rows() != 1 {
-		t.Errorf("rows = %d", w.Rows())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -112,45 +116,49 @@ func TestWriterValidation(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
 	}
-	if err := w.Append(schema.Tuple{"1", "2"}); err == nil {
-		t.Error("Append after Close accepted")
+	if err := w.WriteChunk(&good); err == nil {
+		t.Error("WriteChunk after Close accepted")
+	}
+	got, err := ReadColumnar(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 1 || !got.Row(0).Equal(schema.Tuple{"1", "2"}) {
+		t.Errorf("rows = %v", got.Rows())
 	}
 }
 
+// TestCorruptionDetected: a flipped byte, a truncation or a bad magic
+// makes ReadColumnar fail — the checksum catches flips unless the flip
+// makes the stream structurally invalid first, which is also an error.
 func TestCorruptionDetected(t *testing.T) {
 	rel := sampleRelation()
 	var buf bytes.Buffer
-	if err := Write(&buf, rel); err != nil {
+	if err := WriteColumnar(&buf, rel, 0); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 
-	// Flip one payload byte: checksum must catch it (unless the flip makes
-	// the stream structurally invalid first, which is also an error).
-	for _, pos := range []int{len(magic) + 2, len(good) / 2, len(good) - 6} {
+	for _, pos := range []int{len(colMagic) + 2, len(good) / 2, len(good) - 6} {
 		bad := append([]byte(nil), good...)
-		bad[pos] ^= 0x20
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
+		bad[pos] ^= 0x40
+		if _, err := ReadColumnar(bytes.NewReader(bad)); err == nil {
 			t.Errorf("corruption at byte %d not detected", pos)
 		}
 	}
-
-	// Truncation.
-	for _, cut := range []int{len(good) - 1, len(good) - 5, len(good) / 2, 3} {
-		if _, err := Read(bytes.NewReader(good[:cut])); err == nil {
+	for _, cut := range []int{len(good) - 1, len(good) - 3, len(good) - 5, len(good) / 2, 3} {
+		if _, err := ReadColumnar(bytes.NewReader(good[:cut])); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
-
-	// Bad magic.
-	if _, err := Read(strings.NewReader("NOTAFREL")); err == nil {
+	if _, err := ReadColumnar(strings.NewReader("NOTAFCOL")); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
 
 func TestSaveLoad(t *testing.T) {
 	rel := sampleRelation()
-	path := filepath.Join(t.TempDir(), "travel.frel")
+	path := filepath.Join(t.TempDir(), "travel.fcol")
 	if err := Save(path, rel); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestSaveLoad(t *testing.T) {
 	if len(schema.Diff(rel, got)) != 0 {
 		t.Error("Save/Load round trip differs")
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.frel")); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.fcol")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -169,15 +177,15 @@ func TestSaveLoad(t *testing.T) {
 func TestCompactVsCSV(t *testing.T) {
 	// The binary format should not be larger than CSV for realistic data.
 	d := dataset.Hosp(2000, 1)
-	var frel, csv bytes.Buffer
-	if err := Write(&frel, d.Rel); err != nil {
+	var fcol, csv bytes.Buffer
+	if err := WriteColumnar(&fcol, d.Rel, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := schema.WriteCSV(&csv, d.Rel); err != nil {
 		t.Fatal(err)
 	}
-	if frel.Len() > csv.Len()*11/10 {
-		t.Errorf("frel %d bytes vs csv %d bytes", frel.Len(), csv.Len())
+	if fcol.Len() > csv.Len()*11/10 {
+		t.Errorf("fcol %d bytes vs csv %d bytes", fcol.Len(), csv.Len())
 	}
 }
 
@@ -204,19 +212,18 @@ func (*shortErr) Error() string { return "disk full" }
 
 func TestWriteErrorPropagation(t *testing.T) {
 	rel := sampleRelation()
-	// Headers alone exceed a 4-byte budget: NewWriter or the first flush
-	// must fail.
+	// Even the header exceeds a 4-byte budget: the write must fail
+	// whichever flush first reaches the sink.
 	for _, budget := range []int{4, 40, 120} {
 		fw := &failingWriter{n: budget}
-		err := Write(fw, rel)
-		if err == nil {
+		if err := WriteColumnar(fw, rel, 2); err == nil {
 			t.Errorf("budget %d: write succeeded", budget)
 		}
 	}
 }
 
 func TestSaveErrorOnBadPath(t *testing.T) {
-	if err := Save("/nonexistent-dir/sub/file.frel", sampleRelation()); err == nil {
+	if err := Save("/nonexistent-dir/sub/file.fcol", sampleRelation()); err == nil {
 		t.Error("Save into a missing directory succeeded")
 	}
 }

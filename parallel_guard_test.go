@@ -63,8 +63,8 @@ func TestParallelRepairNotSlower(t *testing.T) {
 	}
 }
 
-// TestParallelStreamNotSlower applies the same tripwire to the pipelined
-// streaming engine against the sequential stream loop.
+// TestParallelStreamNotSlower applies the same tripwire to the stream:
+// StreamCSV at GOMAXPROCS workers against StreamCSV at one worker.
 func TestParallelStreamNotSlower(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts timing comparisons")
@@ -82,29 +82,26 @@ func TestParallelStreamNotSlower(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := csvIn.Bytes()
-	seq := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSV(bytes.NewReader(in), io.Discard, repair.Linear); err != nil {
-				b.Fatal(err)
+	stream := func(workers int) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rep.StreamCSV(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
+					repair.ParallelOptions{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	par := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVParallel(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
+	seq, par := stream(1), stream(0)
 	seqNs, parNs := seq.NsPerOp(), par.NsPerOp()
 	speedup := float64(seqNs) / float64(parNs)
-	t.Logf("stream %d ns/op, stream-parallel %d ns/op, speedup %.2fx at GOMAXPROCS=%d",
+	t.Logf("stream %d ns/op at 1 worker, %d ns/op at GOMAXPROCS workers, speedup %.2fx at GOMAXPROCS=%d",
 		seqNs, parNs, speedup, runtime.GOMAXPROCS(0))
 	// The stream pays CSV parse + write on top of repair, so parity is the
 	// floor, not 2×; the same 0.90 noise margin applies.
 	if speedup < 0.90 {
-		t.Errorf("PARALLEL STREAM REGRESSION: StreamCSVParallel is %.2fx the sequential stream rate "+
-			"(sequential %d ns/op vs parallel %d ns/op at GOMAXPROCS=%d)",
+		t.Errorf("PARALLEL STREAM REGRESSION: StreamCSV at GOMAXPROCS workers is %.2fx its one-worker rate "+
+			"(1 worker %d ns/op vs parallel %d ns/op at GOMAXPROCS=%d)",
 			speedup, seqNs, parNs, runtime.GOMAXPROCS(0))
 	}
 }
